@@ -97,14 +97,14 @@ class ScatteringConfig:
     mass: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < 1.0:
+        if not (math.isfinite(self.beta) and 0.0 <= self.beta < 1.0):
             raise ConfigError(f"beta={self.beta} outside [0, 1)")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma={self.gamma} must be >= 0")
-        if not self.p > 0.0:
-            raise ConfigError(f"p={self.p} must be > 0")
-        if not self.mass > 0.0:
-            raise ConfigError(f"mass={self.mass} must be > 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ConfigError(f"gamma={self.gamma} must be finite and >= 0")
+        if not (math.isfinite(self.p) and self.p > 0.0):
+            raise ConfigError(f"p={self.p} must be finite and > 0")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise ConfigError(f"mass={self.mass} must be finite and > 0")
 
     @property
     def critical_upper(self) -> float:

@@ -17,7 +17,8 @@ sweep <config> --vary name=start:stop:step [--vary ...] [--out DIR]
 certify [--strict]
     Self-check suite: Wronskian sweep, ODE residual sweep, closed-form
     model invariants, the independent radial-integration oracle against
-    the closed forms, and the quartic connection-matrix flux identities.
+    the closed forms, the quartic connection-matrix flux identities, and
+    the mirror-built quartic S_m against an independent forward fit.
     Prints one pass/fail line per check with its worst residual.
     --strict reruns the oracle at tolerance/100 and additionally requires
     the residuals to shrink.
@@ -64,20 +65,19 @@ def _solve_modes(scn: scenario.Scenario, m_range: tuple) -> list:
     lo, hi = int(m_range[0]), int(m_range[1])
     if lo > hi:
         raise ConfigError(f"empty mode range [{lo}, {hi}]")
+    if scn.is_quartic:
+        # one batch: every order of the range shares one ODE solve
+        model = scn.model
+        pick = model.model_for if isinstance(model, quartic.ModeSchedule) else lambda m: model
+        return quartic.quartic_smatrices(scn.potential, [(m, pick(m)) for m in range(lo, hi + 1)])
     sols = []
     for m in range(lo, hi + 1):
         try:
-            if scn.is_quartic:
-                model = scn.model
-                if isinstance(model, quartic.ModeSchedule):
-                    model = model.model_for(m)
-                sols.append(quartic.quartic_smatrix(scn.potential, m, model))
-            else:
-                mode = channels.classify_mode(scn.potential, m)
-                model = scn.model
-                if isinstance(model, scenario.ElasticAssignment):
-                    model = model.for_mode(mode)
-                sols.append(channels.solve_channel(scn.potential, mode, model))
+            mode = channels.classify_mode(scn.potential, m)
+            model = scn.model
+            if isinstance(model, scenario.ElasticAssignment):
+                model = model.for_mode(mode)
+            sols.append(channels.solve_channel(scn.potential, mode, model))
         except ConfigError:
             raise
         except FluxsinkError as exc:
@@ -464,13 +464,14 @@ def _quartic_worst() -> tuple:
     cfg = quartic.QuarticConfig(beta=0.3, lam=1.0, p=1.0)
     flux = 0.0
     unit = 0.0
-    for m in (0, 1):
-        conn = quartic.connection_matrix(cfg, m)
+    forward = 0.0
+    for m, conn in zip((0, 1), quartic.connection_matrices(cfg, (0, 1))):
         flux = max(flux, max(conn.flux_defects))
         sol = quartic.quartic_smatrix(cfg, m, quartic.Elastic())
         unit = max(unit, abs(abs(sol.s_matrix) - 1.0))
+        forward = max(forward, quartic.forward_fit_defect(cfg, m))
     back = quartic.backward_defect(cfg, 0)
-    return flux, unit, back
+    return flux, unit, forward, back
 
 
 def certify(strict: bool = False, stream=None) -> int:
@@ -492,9 +493,10 @@ def certify(strict: bool = False, stream=None) -> int:
         # convergence evidence: refining the tolerance must help
         checks.append(("oracle-refinement", worst_tight, worst_default))
 
-    flux, unit, back = _quartic_worst()
+    flux, unit, forward, back = _quartic_worst()
     checks.append(("quartic-flux-form", flux, 1e-6))
     checks.append(("quartic-elastic-unitarity", unit, 1e-6))
+    checks.append(("quartic-forward-fit", forward, 1e-6))
     checks.append(("quartic-backward-roundtrip", back, 1e-5))
 
     failed = 0

@@ -46,7 +46,6 @@ from .specfun import Order, bessel_j_pair, complex_gamma, hankel_pair
 
 __all__ = [
     "RadialProfile",
-    "AsymptoticCoefficients",
     "default_rho_in",
     "init_for_model",
     "integrate_radial",
@@ -79,14 +78,6 @@ class RadialProfile:
             and np.all(np.isfinite(self.derivative_values))
         ):
             raise StiffnessError("profile contains non-finite values")
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """(A, B) near the origin and (ingoing, outgoing) at infinity."""
-
-    small_rho: tuple | None = None
-    large_rho: tuple | None = None
 
 
 def default_rho_in(cfg: ScatteringConfig) -> float:

@@ -1,4 +1,4 @@
-"""Flux plus attractive rho^-4 core: S-matrices via two-sided wave matching.
+"""Flux plus attractive rho^-4 core: S-matrices from a mirror-symmetric connection.
 
 The radial equation
 
@@ -16,22 +16,29 @@ and u = p rho = sqrt(q) e^{x} on the right.  A connection matrix T maps
 the origin-side wave coefficients (c3, c4) to the infinity-side (a, b);
 boundary models pick the origin-side combination and T delivers S_m.
 
+By the mirror symmetry the origin-side waves are the infinity-side ones
+reflected.  One inward integration of the dressed outgoing wave f+ from
+u = _start_w(q) to x = 0 gives M = [[f+, f-], [f+', f-']] there, with
+f- = conj(f+); the origin basis has the same values and negated
+derivatives, so T = M^{-1} diag(1, -1) M.  The step cap depends on
+(q, tol) only, so all orders nu of a run share one solve_ivp call.
+
 Wave-basis dressing: the exact solutions deviate from pure Hankels by
 the opposite end's potential tail, a + q^2/u^4 term in each local wave
 equation.  Its first WKB order multiplies the e^{+iu} branch by
-(1 - q^2/(4 u^4)) exp(-i q^2/(6 u^3)); both inits and fit bases carry
-this factor, leaving residual bias around 1e-8 at u >= 60 for q <= 10.
+(1 - q^2/(4 u^4)) exp(-i q^2/(6 u^3)); the inward start and the check
+fits carry this factor, leaving residual bias around 1e-8 at u >= 60
+for q <= 10.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import h1vp, h2vp, hankel1, hankel2
+from scipy.special import h1vp, hankel1, hankel2
 
 from .channels import (
     ChannelSolution,
@@ -39,7 +46,7 @@ from .channels import (
     _ab_smatrix,
     ab_amplitude_closed,
 )
-from .errors import ConfigError, FitDegenerateError, StiffnessError
+from .errors import ConfigError, FitDegenerateError
 from .oracle import _lstsq_two_column, _run_stage
 
 __all__ = [
@@ -49,19 +56,24 @@ __all__ = [
     "TotalAbsorption",
     "ConnectionMatrix",
     "connection_matrix",
+    "connection_matrices",
     "quartic_smatrix",
+    "quartic_smatrices",
     "capture_probability",
     "ModeSchedule",
     "model_schedule",
     "schedule_cross_section",
     "backward_defect",
+    "forward_fit_defect",
     "quartic_amplitude",
 ]
 
 REGIME_QUARTIC = "Quartic"
-FIT_U = (60.0, 120.0)
+FIT_U = (60.0, 120.0)  # wave-fit window of the checks; FIT_U[0] also bounds the start
 _POINTS_PER_WAVELENGTH = 40
 _START_BIAS = 1e-9
+_CACHE_SIZE = 128
+_cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,8 @@ class ConnectionMatrix:
 
     Column j holds the (a, b) pair of the j-th origin basis vector, in the
     H_{nu}(p rho) normalization.  Current conservation fixes
-    |b|^2 - |a|^2 = -+1 per column and det T = -1.
+    |b|^2 - |a|^2 = -+1 per column and det T = -1; the mirror construction
+    meets both by construction, so forward_fit_defect checks the integration.
     """
 
     entries: np.ndarray
@@ -126,8 +139,11 @@ class ConnectionMatrix:
     q: float
 
     def __post_init__(self) -> None:
-        det = np.linalg.det(self.entries)
-        if abs(det) < 1e-6:
+        t = self.entries
+        det = np.linalg.det(t)
+        # entries beyond ~1e7 cannot resolve det = -1: their det is rounding noise
+        floor = 1e-15 * (abs(t[0, 0] * t[1, 1]) + abs(t[0, 1] * t[1, 0]))
+        if abs(det) < 1e-6 and floor < 1e-6:
             raise FitDegenerateError(f"connection matrix is singular (det={det})")
 
     @property
@@ -157,6 +173,13 @@ def _wave_dressing_scalar(q: float, u: float) -> tuple[complex, complex]:
     return d, dp
 
 
+def _outgoing(nu, q: float, u: float):
+    """Dressed H1_nu(u) D(u) and its u d/du; nu may be an array."""
+    d, dp = _wave_dressing_scalar(q, u)
+    h, hd = hankel1(nu, u), h1vp(nu, u)
+    return h * d, u * (hd * d + h * dp)
+
+
 def _start_w(q: float) -> float:
     # residual init bias ~ 2 q^2 / w^5 kept below _START_BIAS
     return max(FIT_U[0], (2.0 * q * q / _START_BIAS) ** 0.2)
@@ -181,73 +204,99 @@ def _window_grid(q: float, u_lo: float, u_hi: float, sign: int) -> np.ndarray:
     return np.sort(x)
 
 
-def _integrate(cfg: QuarticConfig, m: int, y0, x0: float, x1: float, x_eval, tol: float):
-    a = cfg.mathieu_a(m)
-    q = cfg.q
+def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: float):
+    """Solve R_xx = (a_k - 2 q cosh 2x) R_k for all k at once; y = (R..., R_x...)."""
+    k = len(a)
+    swap = np.r_[k : 2 * k, 0:k]  # (R, R_x) -> (R_x, R)
 
     def rhs(x, y):
-        return [y[1], (a - 2.0 * q * math.cosh(2.0 * x)) * y[0]]
+        dy = y[swap]
+        dy[k:] *= a - 2.0 * q * math.cosh(2.0 * x)
+        return dy
 
     rate = max(math.sqrt(q) * math.exp(abs(x0)), math.sqrt(q) * math.exp(abs(x1)), 1.0)
     # >= 20 solver points per local wavelength at the fastest end
     cap = min(2.0 * math.pi / 20.0, 26.5 * tol**0.3) / rate
-    res = _run_stage(rhs, x0, x1, np.asarray(y0, dtype=complex), x_eval, tol, cap, "mathieu")
-    return res
+    what = "mathieu (nu = " + ", ".join(f"{math.sqrt(ak):.6g}" for ak in a) + ")"
+    return _run_stage(rhs, x0, x1, np.asarray(y0, dtype=complex), x_eval, tol, cap, what)
 
 
-def _origin_init(cfg: QuarticConfig, m: int, column: int, x0: float):
-    """Dressed H1 (column 0) or H2 (column 1) of argument w at x0."""
-    nu = abs(m - cfg.beta)
-    q = cfg.q
-    w = math.sqrt(q) * math.exp(-x0)
-    d, dp = _wave_dressing_scalar(q, w)
-    if column == 0:
-        h, hd = complex(hankel1(nu, w)), complex(h1vp(nu, w))
-    else:
-        h, hd = complex(hankel2(nu, w)), complex(h2vp(nu, w))
-        d, dp = d.conjugate(), dp.conjugate()
-    val = h * d
-    # d/dx = -w d/dw on the origin side
-    der = -w * (hd * d + h * dp)
-    return [val, der]
+def _mirror_matrix(f: complex, g: complex, nu: float, q: float) -> ConnectionMatrix:
+    """T = M^{-1} diag(1, -1) M for M = [[f, conj f], [g, conj g]], written out."""
+    fg = f * g.conjugate()  # 2i Im(fg) = det M, the Wronskian of f+ and f-: never 0
+    t = np.array([[2.0 * fg.real, 2.0 * (f * g).conjugate()], [-2.0 * f * g, -2.0 * fg.real]])
+    matrix = ConnectionMatrix(entries=t / (2j * fg.imag), nu=nu, q=q)
+    d3, d4, ddet = matrix.flux_defects
+    if max(d3, d4, ddet) > 1e-6:
+        raise FitDegenerateError(f"connection flux defects ({d3:.2e}, {d4:.2e}, {ddet:.2e}) exceed 1e-6")
+    return matrix
 
 
-@lru_cache(maxsize=128)
-def connection_matrix(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> ConnectionMatrix:
-    """Map origin-side wave coefficients to infinity-side ones for mode m.
+def connection_matrices(cfg: QuarticConfig, ms, tol: float = 1e-8) -> list:
+    """Connection matrices of modes ms; one inward solve covers all uncached orders.
 
-    Integrates the Mathieu-form equation twice, once per origin basis
-    vector, from w = lam/rho >= max(60, bias bound) out to p rho = 120,
-    and fits dressed ingoing/outgoing waves over p rho in [60, 120].
+    T depends on (nu, q, tol) only and is cached on that key: mass and the
+    sign of m - beta do not enter.
     """
     if tol < 1e-10:
         raise ConfigError(f"tol must be >= 1e-10, got {tol}")
+    q = cfg.q
+    keys = [(abs(m - cfg.beta), q, tol) for m in ms]
+    todo = sorted({key for key in keys if key not in _cache})
+    if todo:
+        nus = np.array([key[0] for key in todo])
+        u0 = _start_w(q)
+        y0 = np.concatenate(_outgoing(nus, q, u0))  # d/dx = u d/du on this side
+        x0 = math.log(u0 / math.sqrt(q))
+        end = _integrate(nus * nus, q, y0, x0, 0.0, [0.0], tol).y[:, -1]
+        for key, f, g in zip(todo, end[: len(todo)], end[len(todo) :]):
+            _cache[key] = _mirror_matrix(complex(f), complex(g), key[0], q)
+    found = [_cache[key] for key in keys]
+    while len(_cache) > _CACHE_SIZE:  # oldest first
+        del _cache[next(iter(_cache))]
+    return found
+
+
+def connection_matrix(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> ConnectionMatrix:
+    """Map origin-side wave coefficients to infinity-side ones for mode m."""
+    return connection_matrices(cfg, [m], tol)[0]
+
+
+def _origin_init(nu: float, q: float, x0: float) -> list:
+    """(R, R_x) of dressed H1 (column 0) and H2 (column 1) of argument w at x0."""
+    val, der = _outgoing(nu, q, math.sqrt(q) * math.exp(-x0))
+    # d/dx = -w d/dw on the origin side; H2 D* = conj(H1 D) for real nu, w
+    return [[val, -der], [val.conjugate(), -der.conjugate()]]
+
+
+def forward_fit_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
+    """Largest sink or elastic |S_m| difference between T and a forward fit.
+
+    The forward fit integrates both origin waves out to p rho = 120 and
+    fits dressed waves over p rho in [60, 120].  It shares neither the
+    mirror argument nor the 2x2 solve, so a small defect is evidence that
+    the inward integration is right.
+    """
     nu = abs(m - cfg.beta)
     q = cfg.q
     x0 = math.log(math.sqrt(q) / _start_w(q))
     x1 = math.log(FIT_U[1] / math.sqrt(q))
     x_eval = _window_grid(q, FIT_U[0], FIT_U[1], sign=+1)
     cols = []
-    for column in (0, 1):
-        y0 = _origin_init(cfg, m, column, x0)
-        res = _integrate(cfg, m, y0, x0, x1, x_eval, tol)
+    for y0 in _origin_init(nu, q, x0):
+        res = _integrate(np.array([nu * nu]), q, y0, x0, x1, x_eval, tol)
         u = math.sqrt(q) * np.exp(res.t)
-        a_m, b_m = _fit_waves(nu, q, u, res.y[0])
-        cols.append([a_m, b_m])
-    t = np.array(cols, dtype=complex).T
-    matrix = ConnectionMatrix(entries=t, nu=nu, q=q)
-    d3, d4, ddet = matrix.flux_defects
-    if max(d3, d4, ddet) > 1e-6:
-        raise FitDegenerateError(
-            f"connection flux defects ({d3:.2e}, {d4:.2e}, {ddet:.2e}) exceed 1e-6"
-        )
-    return matrix
+        cols.append(_fit_waves(nu, q, u, res.y[0]))
+    forward = ConnectionMatrix(entries=np.array(cols, dtype=complex).T, nu=nu, q=q)
+    pair = (connection_matrix(cfg, m, tol), forward)
+    s = [[_solution(cfg, m, model, t).s_matrix for t in pair] for model in (Sink(), Elastic(1.1))]
+    return max(abs(a - b) for a, b in s)
 
 
 def backward_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     """Round-trip check: propagate T's first column back inward.
 
-    Starts at p rho = 120 with the fitted (a, b) waves, integrates back to
+    Starts at p rho = 120 with the (a, b) waves of T, integrates back to
     the deep-origin window and refits (c3, c4); returns the deviation from
     the identity column (1, 0).  Spread beyond ~1e-5 flags an inconsistent
     connection.
@@ -261,42 +310,25 @@ def backward_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     w_hi = min(140.0, w_deep)
     x_eval = _window_grid(q, 70.0, w_hi, sign=-1)
 
-    u1 = FIT_U[1]
-    d, dp = _wave_dressing_scalar(q, u1)
+    val, der = _outgoing(nu, q, FIT_U[1])  # d/dx = +u d/du on the infinity side
     a_m, b_m = t[0, 0], t[1, 0]
-    val = a_m * complex(hankel1(nu, u1)) * d + b_m * complex(hankel2(nu, u1)) * d.conjugate()
-    der_u = a_m * (complex(h1vp(nu, u1)) * d + complex(hankel1(nu, u1)) * dp)
-    der_u += b_m * (complex(h2vp(nu, u1)) * d.conjugate() + complex(hankel2(nu, u1)) * dp.conjugate())
-    y0 = [val, u1 * der_u]  # d/dx = +u d/du on the infinity side
+    y0 = [a_m * val + b_m * val.conjugate(), a_m * der + b_m * der.conjugate()]
 
-    res = _integrate(cfg, m, y0, x1, x0, x_eval[::-1], tol)
+    res = _integrate(np.array([nu * nu]), q, y0, x1, x0, x_eval[::-1], tol)
     w = math.sqrt(q) * np.exp(-res.t)
     c3, c4 = _fit_waves(nu, q, w, res.y[0])
     return float(abs(c3 - 1.0) + abs(c4))
 
 
-def _solution(cfg: QuarticConfig, m: int, a_m: complex, b_m: complex, model) -> ChannelSolution:
+def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
+    """Mode m under model; conn is its ConnectionMatrix (unused for TotalAbsorption)."""
     nu = abs(m - cfg.beta)
-    s = cmath.exp(1j * math.pi * (m - nu)) * a_m / b_m
-    if isinstance(model, Elastic):
-        sigma = 0.0  # self-adjoint condition conserves flux exactly
-    else:
-        sigma = max(0.0, 1.0 - abs(s) ** 2) / cfg.p
-        if abs(s) > 1.0 + 1e-6:
-            raise FitDegenerateError(f"|S|={abs(s)} > 1 from a capture boundary")
     mode = PartialMode(m=m, nu_squared=nu * nu, mu=nu, regime=REGIME_QUARTIC)
-    return ChannelSolution(mode=mode, a=a_m, b=b_m, s_matrix=s, sigma_abs=sigma, _cfg=cfg)
-
-
-def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float = 1e-8) -> ChannelSolution:
-    """Solve one mode of the rho^-4 channel under the given boundary model."""
     if isinstance(model, TotalAbsorption):
-        nu = abs(m - cfg.beta)
-        mode = PartialMode(m=m, nu_squared=nu * nu, mu=nu, regime=REGIME_QUARTIC)
         return ChannelSolution(
             mode=mode, a=0.0, b=1.0, s_matrix=0.0, sigma_abs=1.0 / cfg.p, _cfg=cfg
         )
-    t = connection_matrix(cfg, m, tol).entries
+    t = conn.entries
     if isinstance(model, Sink):
         a_m, b_m = t[0, 0], t[1, 0]
     elif isinstance(model, Elastic):
@@ -304,7 +336,27 @@ def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float = 1e-8) -> Cha
         a_m, b_m = t @ c
     else:
         raise ConfigError(f"unsupported boundary model {model!r}")
-    return _solution(cfg, m, a_m, b_m, model)
+    s = cmath.exp(1j * math.pi * (m - nu)) * a_m / b_m
+    if isinstance(model, Elastic):
+        sigma = 0.0  # self-adjoint condition conserves flux exactly
+    else:
+        sigma = max(0.0, 1.0 - abs(s) ** 2) / cfg.p
+        if abs(s) > 1.0 + 1e-6:
+            raise FitDegenerateError(f"mode m={m}: |S|={abs(s)} > 1 from a capture boundary")
+    return ChannelSolution(mode=mode, a=a_m, b=b_m, s_matrix=s, sigma_abs=sigma, _cfg=cfg)
+
+
+def quartic_smatrices(cfg: QuarticConfig, modes, tol: float = 1e-8) -> list:
+    """Solve (m, model) pairs of the rho^-4 channel in order, in at most one ODE solve."""
+    modes = list(modes)
+    need = [m for m, model in modes if not isinstance(model, TotalAbsorption)]
+    conns = dict(zip(need, connection_matrices(cfg, need, tol)))
+    return [_solution(cfg, m, model, conns.get(m)) for m, model in modes]
+
+
+def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float = 1e-8) -> ChannelSolution:
+    """Solve one mode of the rho^-4 channel under the given boundary model."""
+    return quartic_smatrices(cfg, [(m, model)], tol)[0]
 
 
 def capture_probability(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
@@ -367,13 +419,6 @@ def schedule_cross_section(
     lo, hi = m_range
     if lo > hi:
         raise ConfigError(f"empty mode range {m_range}")
-    total = 0.0
-    for m in range(lo, hi + 1):
-        model = schedule.model_for(m)
-        if isinstance(model, Elastic):
-            continue
-        if isinstance(model, TotalAbsorption):
-            total += 1.0 / schedule.cfg.p
-            continue
-        total += quartic_smatrix(schedule.cfg, m, model, tol).sigma_abs
-    return total
+    pairs = [(m, schedule.model_for(m)) for m in range(lo, hi + 1)]
+    absorbing = [(m, model) for m, model in pairs if not isinstance(model, Elastic)]
+    return sum((sol.sigma_abs for sol in quartic_smatrices(schedule.cfg, absorbing, tol)), 0.0)

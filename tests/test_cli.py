@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fluxsink import cli, scenario
+from fluxsink import cli, oracle, quartic, scenario
 from fluxsink.errors import ConfigError
 
 
@@ -232,6 +232,28 @@ def test_quartic_sink_run(tmp_path):
     assert 0.0 < float(row[7]) < 1.0  # partial capture, p = 1
 
 
+def test_quartic_run_is_one_batched_solve(tmp_path, monkeypatch):
+    # beta = 0: five modes but three orders |m|, all in one inward solve
+    calls = []
+    solve_ivp = oracle.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(quartic, "_cache", {})
+    text = _scenario_text(
+        kind="inverse_quartic", beta=0.0, lam=1.3, p=1.0,
+        model="kind = sink", m_range="-2:2", path=str(tmp_path / "out"),
+    )
+    assert cli.main(["run", _write(tmp_path, "qb.ini", text)]) == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
+    s = {int(r.split(",")[0]): complex(*map(float, r.split(",")[4:6])) for r in rows}
+    assert abs(s[-2] - s[2]) <= 1e-14 and abs(s[-1] - s[1]) <= 1e-14  # shared T
+
+
 def test_custom_model_run(tmp_path):
     text = _scenario_text(
         model="kind = custom\nratio_0 = 0.01, 0.0\nratio_1 = 0.3, 0.0",
@@ -263,6 +285,14 @@ def test_exit_codes(tmp_path, capsys):
     short = _scenario_text(m_range="2:5", path=str(tmp_path / "o"))
     assert cli.main(["run", _write(tmp_path, "short.ini", short)]) == 1
     assert "non-Regular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,value", [("gamma", "nan"), ("gamma", "inf"), ("p", "inf")])
+def test_non_finite_input_is_config_error(tmp_path, capsys, name, value):
+    text = _scenario_text(path=str(tmp_path / "out"), **{name: value})
+    assert cli.main(["run", _write(tmp_path, "nf.ini", text)]) == 1
+    assert f"{name}={value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_outdir_precedence(tmp_path, monkeypatch):

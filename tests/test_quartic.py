@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fluxsink import quartic
 from fluxsink.errors import ConfigError, FitDegenerateError
 from fluxsink.quartic import (
     ConnectionMatrix,
@@ -16,7 +17,9 @@ from fluxsink.quartic import (
     TotalAbsorption,
     backward_defect,
     capture_probability,
+    connection_matrices,
     connection_matrix,
+    forward_fit_defect,
     model_schedule,
     quartic_smatrix,
     schedule_cross_section,
@@ -68,6 +71,35 @@ def test_connection_tol_validation():
 
 def test_backward_consistency():
     assert backward_defect(Q1, 0) <= 1e-5
+
+
+def test_mirror_matches_forward_fit():
+    # the forward fit shares neither the mirror argument nor the 2x2 solve,
+    # so agreement tests the inward integration the flux identities cannot
+    for q, m in ((0.3, 0), (1.0, 1), (10.0, 3)):
+        cfg = QuarticConfig(beta=0.37, lam=q / 0.9, p=0.9)
+        assert forward_fit_defect(cfg, m) <= 1e-6, (q, m)
+
+
+def test_connection_cache_key():
+    # T depends on (|m - beta|, q, tol) only: +-m share it at beta = 0, and
+    # so do configs that differ only in mass
+    assert connection_matrix(Q1, 1) is connection_matrix(Q1, -1)
+    heavy = QuarticConfig(beta=0.0, lam=1.0, p=1.0, mass=2.0)
+    assert connection_matrix(heavy, 2) is connection_matrix(Q1, 2)
+    assert connection_matrix(Q1, 1, tol=1e-9) is not connection_matrix(Q1, 1)
+
+
+def test_batch_matches_single_modes(monkeypatch):
+    cfg = QuarticConfig(beta=0.2, lam=1.7, p=0.8)
+    monkeypatch.setattr(quartic, "_cache", {})
+    batch = connection_matrices(cfg, [2, -1, 0, 1])
+    for m, conn in zip([2, -1, 0, 1], batch):
+        monkeypatch.setattr(quartic, "_cache", {})
+        single = connection_matrix(cfg, m)
+        assert conn.nu == single.nu == abs(m - cfg.beta)
+        s_batch, s_single = (t.entries[0, 0] / t.entries[1, 0] for t in (conn, single))
+        assert abs(s_batch - s_single) <= 1e-8, m
 
 
 def test_elastic_unitary_across_q():
