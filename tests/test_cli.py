@@ -222,6 +222,67 @@ def test_quartic_schedule_run_exact(tmp_path):
     assert all(r.split(",")[1] == "Quartic" for r in rows)
 
 
+GOLDEN_QUARTIC_MODES = """\
+m,regime,nu_squared,mu,re_s,im_s,abs_s,sigma_abs
+-1,Quartic,1.5625,1.25,0,0,0,2
+0,Quartic,0.0625,0.25,0,0,0,2
+1,Quartic,0.5625,0.75,0,0,0,2
+"""
+
+GOLDEN_QUARTIC_SUMMARY = """\
+potential,inverse_quartic
+beta,0.25
+lam,2
+p,0.5
+mass,0.5
+model,total_absorption(|m| <= 1) + elastic outside
+m_lo,-1
+m_hi,1
+phi_samples,11
+sigma_total_abs,6
+"""
+
+GOLDEN_QUARTIC_DIFFERENTIAL = """\
+phi,dsigma_dphi
+0.002,160109.92039088064
+0.62991853071795867,3.2333806156444926
+1.2578370614359173,0.18824095874528604
+1.885755592153876,0.10065113113735369
+2.5136741228718344,0.34332330732426131
+3.1415926535897931,0.15915494309189546
+3.7695111843077518,0.0085457285944122267
+4.3974297150257105,0.38540062606043757
+5.0253482457436691,0.73156433113660491
+5.6532667764616278,0.083651768225884146
+6.2811853071795865,158200.07189643779
+"""
+
+
+def test_quartic_golden_files(tmp_path):
+    # the absorbed window alone is closed-form, so these bytes need no ODE
+    text = _scenario_text(
+        kind="inverse_quartic", beta=0.25, lam=2.0, p=0.5,
+        model="kind = total_absorption\nm_abs = 1",
+        m_range="-1:1", phi_samples=11, path=str(tmp_path / "out"),
+    )
+    assert cli.main(["run", _write(tmp_path, "gq.ini", text)]) == 0
+    assert (tmp_path / "out" / "modes.csv").read_text() == GOLDEN_QUARTIC_MODES
+    assert (tmp_path / "out" / "summary.csv").read_text() == GOLDEN_QUARTIC_SUMMARY
+    assert (tmp_path / "out" / "differential.csv").read_text() == GOLDEN_QUARTIC_DIFFERENTIAL
+
+
+@pytest.mark.parametrize(
+    "model,label",
+    [("kind = sink", "sink"), ("kind = elastic\ntheta = 0.4", "elastic(theta=0.40000000000000002)")],
+)
+def test_quartic_model_labels(tmp_path, model, label):
+    text = _scenario_text(
+        kind="inverse_quartic", lam=1.0, model=model, m_range="0:0", path=str(tmp_path / "out"),
+    )
+    assert cli.main(["run", _write(tmp_path, "ql.ini", text)]) == 0
+    assert _read_summary_csv(tmp_path / "out" / "summary.csv")["model"] == label
+
+
 def test_quartic_sink_run(tmp_path):
     text = _scenario_text(
         kind="inverse_quartic", lam=1.0, p=1.0,
