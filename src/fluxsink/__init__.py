@@ -3,32 +3,23 @@
 Two singular attractive potentials around an Aharonov-Bohm flux line:
 an inverse-square core (channels: closed forms per mode, plus an
 independent radial-integration oracle) and an inverse-quartic core
-(quartic: connection matrices between exact endpoint wave bases).  The
-cli module drives scenario files, parameter sweeps, and the self-check
-suite; scenario holds the config schema.
+(quartic: connection matrices between exact endpoint wave bases).  Both
+take the same boundary models (channels).  The cli module drives
+scenario files, parameter sweeps, and the self-check suite; scenario
+holds the config schema.  The top level re-exports the names the README
+documents; everything else lives in the submodules.
 """
 
 from .channels import (
-    PHI_MIN,
-    ChannelSolution,
-    CrossSectionReport,
     Custom,
+    Elastic,
     ElasticSubcritical,
     ElasticSupercritical,
-    PartialMode,
-    Regime,
     ScatteringConfig,
     Sink,
     TotalAbsorption,
-    ab_amplitude_closed,
-    amplitude,
     classify_mode,
-    cross_sections,
-    nonregular_modes,
-    partial_current,
-    physical_coefficients,
     solve_channel,
-    tail_mode_bound,
 )
 from .errors import (
     ConfigError,
@@ -44,70 +35,22 @@ from .errors import (
     StiffnessError,
     UnitarityViolation,
 )
-from .oracle import (
-    RadialProfile,
-    current_spread,
-    default_rho_in,
-    extract_smatrix,
-    init_for_model,
-    integrate_radial,
-    match_large_rho,
-    match_small_rho,
-    oracle_smatrix,
-    profile_current,
-)
-from .quartic import (
-    ConnectionMatrix,
-    ModeSchedule,
-    QuarticConfig,
-    backward_defect,
-    capture_probability,
-    connection_matrix,
-    model_schedule,
-    quartic_amplitude,
-    quartic_smatrix,
-    schedule_cross_section,
-)
-from .scenario import (
-    ElasticAssignment,
-    Scenario,
-    load_scenario,
-    resolve_m_range,
-    write_scenario,
-)
-from .specfun import (
-    Order,
-    bessel_j,
-    bessel_j_pair,
-    complex_gamma,
-    hankel,
-    hankel_pair,
-    wronskian_check,
-)
+from .oracle import oracle_smatrix
+from .quartic import QuarticConfig, capture_probability
+from .scenario import load_scenario, write_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PHI_MIN",
-    "ChannelSolution",
-    "CrossSectionReport",
     "Custom",
+    "Elastic",
     "ElasticSubcritical",
     "ElasticSupercritical",
-    "PartialMode",
-    "Regime",
     "ScatteringConfig",
     "Sink",
     "TotalAbsorption",
-    "ab_amplitude_closed",
-    "amplitude",
     "classify_mode",
-    "cross_sections",
-    "nonregular_modes",
-    "partial_current",
-    "physical_coefficients",
     "solve_channel",
-    "tail_mode_bound",
     "ConfigError",
     "DegenerateModeError",
     "DegenerateOrderError",
@@ -120,37 +63,10 @@ __all__ = [
     "RangeError",
     "StiffnessError",
     "UnitarityViolation",
-    "RadialProfile",
-    "current_spread",
-    "default_rho_in",
-    "extract_smatrix",
-    "init_for_model",
-    "integrate_radial",
-    "match_large_rho",
-    "match_small_rho",
     "oracle_smatrix",
-    "profile_current",
-    "ConnectionMatrix",
-    "ModeSchedule",
     "QuarticConfig",
-    "backward_defect",
     "capture_probability",
-    "connection_matrix",
-    "model_schedule",
-    "quartic_amplitude",
-    "quartic_smatrix",
-    "schedule_cross_section",
-    "ElasticAssignment",
-    "Scenario",
     "load_scenario",
-    "resolve_m_range",
     "write_scenario",
-    "Order",
-    "bessel_j",
-    "bessel_j_pair",
-    "complex_gamma",
-    "hankel",
-    "hankel_pair",
-    "wronskian_check",
     "__version__",
 ]

@@ -25,6 +25,14 @@ observables depend on the ratio a_m / b_m only.  S-matrix phases:
 
 Default mass M = 1/2 makes the stationary equation read
 R'' + R'/rho + (p^2 - nu^2/rho^2) R = 0 with no stray factors.
+
+The boundary models below are the one vocabulary of the package: an
+absorption model is a choice of exact solution near the singular core,
+and the same classes serve the inverse-quartic core (quartic module).
+Each config class (ScatteringConfig here, QuarticConfig there) is the
+only place that knows its potential: scenario files, the CLI and the
+amplitude assembly go through its KIND, COUPLING, required_modes, solve
+and amplitude.
 """
 
 from __future__ import annotations
@@ -32,8 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -49,23 +55,20 @@ __all__ = [
     "Regime",
     "ScatteringConfig",
     "PartialMode",
+    "Elastic",
     "ElasticSubcritical",
     "ElasticSupercritical",
     "Sink",
     "TotalAbsorption",
     "Custom",
     "ChannelSolution",
-    "CrossSectionReport",
     "classify_mode",
     "nonregular_modes",
-    "tail_mode_bound",
     "solve_channel",
-    "elastic_supercritical_smatrix",
     "physical_coefficients",
     "partial_current",
     "amplitude",
     "ab_amplitude_closed",
-    "cross_sections",
     "PHI_MIN",
 ]
 
@@ -91,6 +94,13 @@ class ScatteringConfig:
     only through probability-current normalization.
     """
 
+    KIND = "inverse_square"  # [potential] kind in scenario files
+    COUPLING = "gamma"  # core-strength field, scenario key and sweep axis
+    ELASTIC_KEYS = ("l", "theta")  # Elastic parameters this core reads
+    WINDOW_KEYS = ("n_minus", "n_plus")  # scenario keys of a TotalAbsorption window
+    WINDOW_LABEL = "total_absorption(window=[{lo}, {hi}])"
+    REQUIRED = "non-Regular modes"  # what required_modes returns, for messages
+
     beta: float
     gamma: float
     p: float
@@ -111,6 +121,17 @@ class ScatteringConfig:
         """|m - beta| above this is Regular."""
         return math.sqrt(1.0 + self.gamma**2)
 
+    def required_modes(self, model) -> list[int]:
+        """Modes every solved range must hold: the non-Regular ones, for any model."""
+        return nonregular_modes(self)
+
+    def solve(self, ms, model) -> list:
+        """ChannelSolutions of modes ms, in order, under the boundary model."""
+        return [solve_channel(self, classify_mode(self, m), model) for m in ms]
+
+    def amplitude(self, solutions: list, phi: float) -> complex:
+        return amplitude(self, solutions, phi)
+
 
 @dataclass(frozen=True)
 class PartialMode:
@@ -125,19 +146,29 @@ class PartialMode:
 # ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True, kw_only=True)
+class Elastic:
+    """Self-adjoint condition on every non-Regular mode, whatever its regime.
+
+    Subcritical modes get ElasticSubcritical(l), supercritical ones
+    ElasticSupercritical(theta), and inverse-quartic modes the core phase
+    theta.  A run usually spans several regimes, so this is the elastic
+    model of scenario files.  Keyword-only: a bare number cannot land on
+    the wrong parameter.
+    """
+
+    l: float = 0.0
+    theta: float = 0.0
+
+
 @dataclass(frozen=True)
 class ElasticSubcritical:
     """Self-adjoint boundary condition R -> B(rho^mu + l rho^{-mu}), l real.
 
-    l = 0 keeps the regular branch.  Optionally per-mode values override
-    the shared default.
+    l = 0 keeps the regular branch.
     """
 
     l: float = 0.0
-    per_mode: dict = field(default_factory=dict)
-
-    def value(self, m: int) -> float:
-        return float(self.per_mode.get(m, self.l))
 
 
 @dataclass(frozen=True)
@@ -145,18 +176,15 @@ class ElasticSupercritical:
     """Reflecting core phase: R -> B(rho^{i mu} + e^{i theta} rho^{-i mu})."""
 
     theta: float = 0.0
-    per_mode: dict = field(default_factory=dict)
-
-    def value(self, m: int) -> float:
-        return float(self.per_mode.get(m, self.theta))
 
 
 @dataclass(frozen=True)
 class Sink:
     """Purely ingoing wave at the origin (perfect absorber), R ~ J_{-i mu}.
 
-    Defined for supercritical modes; subcritical modes under this model
-    fall back to the regular elastic branch (they cannot reach the core).
+    Defined for supercritical and inverse-quartic modes; subcritical modes
+    under this model fall back to the regular elastic branch (they cannot
+    reach the core).
     """
 
 
@@ -164,10 +192,10 @@ class Sink:
 class TotalAbsorption:
     """S_m = 0 on a closed window of modes [-n_minus, n_plus].
 
-    Windowed modes keep only the ingoing Hankel wave; every non-Regular
-    mode outside the window gets the default elastic condition (l = 0 or
-    theta = 0).  The window may not contain Regular modes: a Regular mode
-    has a single admissible solution and cannot be forced silent.
+    Windowed modes keep only the ingoing Hankel wave; every mode outside
+    the window gets Elastic().  On the inverse-square core the window may
+    not contain Regular modes: a Regular mode has a single admissible
+    solution and cannot be forced silent.
     """
 
     n_minus: int = 0
@@ -194,7 +222,7 @@ class Custom:
 
 
 BoundaryModel = (
-    ElasticSubcritical | ElasticSupercritical | Sink | TotalAbsorption | Custom
+    Elastic | ElasticSubcritical | ElasticSupercritical | Sink | TotalAbsorption | Custom
 )
 
 
@@ -241,11 +269,6 @@ def nonregular_modes(cfg: ScatteringConfig) -> list[int]:
         if abs(m - cfg.beta) < upper - REGIME_EPS:
             out.append(m)
     return out
-
-
-def tail_mode_bound(cfg: ScatteringConfig) -> int:
-    """Angular cutoff beyond which the pure-flux tail resummation is used."""
-    return max(20, math.ceil(10.0 * cfg.critical_upper))
 
 
 # ---------------------------------------------------------------------
@@ -307,17 +330,6 @@ def _supercritical_ratio_from_theta(
     return r * (math.exp(-math.pi * mu) / abs(r))
 
 
-def elastic_supercritical_smatrix(mode: PartialMode, theta: float, cfg: ScatteringConfig) -> complex:
-    """S_m for the reflecting-core condition; |S_m| = 1 by construction."""
-    if mode.regime != Regime.SUPERCRITICAL:
-        raise ModelRegimeMismatch(
-            f"reflecting-core condition needs a supercritical mode, got {mode.regime}"
-        )
-    r = _supercritical_ratio_from_theta(cfg, mode, theta)
-    s = cmath.exp(1j * math.pi * mode.m) * math.exp(math.pi * mode.mu) * r
-    return s / abs(s)
-
-
 def _regular_solution(cfg: ScatteringConfig, mode: PartialMode) -> "ChannelSolution":
     s = cmath.exp(1j * math.pi * (mode.m - mode.mu))
     return ChannelSolution(
@@ -333,38 +345,38 @@ def _resolve(model: BoundaryModel, mode: PartialMode):
     one run; the fallbacks below keep that meaningful: a Sink cannot act
     on a subcritical mode (no classical capture), so such modes keep the
     regular elastic branch, and modes outside a total-absorption window
-    get the default elastic condition.
+    get Elastic().
     """
     regime = mode.regime
-    if regime == Regime.REGULAR:
-        if isinstance(model, TotalAbsorption) and model.covers(mode.m):
+    if isinstance(model, TotalAbsorption) and model.covers(mode.m):
+        if regime == Regime.REGULAR:
             raise ModelRegimeMismatch(
                 f"total-absorption window covers Regular mode m={mode.m}, "
                 "which has no ingoing-only solution"
             )
+        return ("total", None)
+    if regime == Regime.REGULAR:
         return ("regular", None)
+    if isinstance(model, Sink) and regime == Regime.SUPERCRITICAL:
+        return ("sink", None)
+    if isinstance(model, (Sink, TotalAbsorption)):
+        model = Elastic()
+    if isinstance(model, Elastic):
+        if regime == Regime.SUPERCRITICAL:
+            return ("elastic_super", model.theta)
+        return ("elastic_sub", model.l)
     if isinstance(model, ElasticSubcritical):
         if regime != Regime.SUBCRITICAL:
             raise ModelRegimeMismatch(
                 f"subcritical boundary parameter given to {regime} mode m={mode.m}"
             )
-        return ("elastic_sub", model.value(mode.m))
+        return ("elastic_sub", model.l)
     if isinstance(model, ElasticSupercritical):
         if regime != Regime.SUPERCRITICAL:
             raise ModelRegimeMismatch(
                 f"reflecting-core phase given to {regime} mode m={mode.m}"
             )
-        return ("elastic_super", model.value(mode.m))
-    if isinstance(model, Sink):
-        if regime == Regime.SUPERCRITICAL:
-            return ("sink", None)
-        return ("elastic_sub", 0.0)
-    if isinstance(model, TotalAbsorption):
-        if model.covers(mode.m):
-            return ("total", None)
-        if regime == Regime.SUBCRITICAL:
-            return ("elastic_sub", 0.0)
-        return ("elastic_super", 0.0)
+        return ("elastic_super", model.theta)
     if isinstance(model, Custom):
         return ("custom", model.value(mode.m))
     raise ConfigError(f"unknown boundary model {model!r}")
@@ -433,7 +445,7 @@ class ChannelSolution:
     b: complex
     s_matrix: complex
     sigma_abs: float
-    _cfg: ScatteringConfig
+    _cfg: ScatteringConfig  # or a QuarticConfig; f_coeff reads beta and p
 
     @property
     def c(self) -> complex:
@@ -569,62 +581,3 @@ def amplitude(cfg: ScatteringConfig, solutions: list[ChannelSolution], phi: floa
         dm = sol.s_matrix - _ab_smatrix(cfg.beta, sol.mode.m)
         acc += dm * cmath.exp(1j * sol.mode.m * w)
     return c * acc + ab_amplitude_closed(cfg, w)
-
-
-@dataclass(frozen=True)
-class CrossSectionReport:
-    """Aggregated run output: per-mode and total absorption, d sigma/d phi."""
-
-    partial_abs: dict
-    total_abs: float
-    mode_range: tuple
-    phi: np.ndarray
-    differential_elastic: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = sum(self.partial_abs.values())
-        if abs(s - self.total_abs) > 1e-12 * max(abs(s), 1e-300):
-            raise ConfigError("cross-section bookkeeping mismatch")
-
-
-def cross_sections(
-    cfg: ScatteringConfig,
-    model: BoundaryModel,
-    m_range: tuple,
-    phi_grid: np.ndarray | None = None,
-) -> CrossSectionReport:
-    """Solve modes m_range = (lo, hi) inclusive and aggregate observables.
-
-    The range must contain every non-Regular mode (IncompleteRangeError
-    otherwise).  Partial absorption cross sections are summed in ascending
-    m for reproducibility; the differential elastic cross section
-    |f(phi)|^2 is sampled on phi_grid (default: 721 points spanning the
-    non-forward sector).
-    """
-    lo, hi = int(m_range[0]), int(m_range[1])
-    if lo > hi:
-        raise ConfigError(f"empty mode range {m_range}")
-    needed = nonregular_modes(cfg)
-    outside = [m for m in needed if not lo <= m <= hi]
-    if outside:
-        raise IncompleteRangeError(
-            f"mode range [{lo}, {hi}] misses non-Regular modes {outside}"
-        )
-    sols = [solve_channel(cfg, classify_mode(cfg, m), model) for m in range(lo, hi + 1)]
-    partial = {s.mode.m: s.sigma_abs for s in sols}
-    total = 0.0
-    for m in sorted(partial):
-        total += partial[m]
-    if phi_grid is None:
-        phi_grid = np.linspace(2.0 * PHI_MIN, 2.0 * math.pi - 2.0 * PHI_MIN, 721)
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    diff = np.empty_like(phi_grid)
-    for i, ph in enumerate(phi_grid):
-        diff[i] = abs(amplitude(cfg, sols, float(ph))) ** 2
-    return CrossSectionReport(
-        partial_abs=partial,
-        total_abs=total,
-        mode_range=(lo, hi),
-        phi=phi_grid,
-        differential_elastic=diff,
-    )

@@ -65,42 +65,17 @@ def _solve_modes(scn: scenario.Scenario, m_range: tuple) -> list:
     lo, hi = int(m_range[0]), int(m_range[1])
     if lo > hi:
         raise ConfigError(f"empty mode range [{lo}, {hi}]")
-    if scn.is_quartic:
-        # one batch: every order of the range shares one ODE solve
-        model = scn.model
-        pick = model.model_for if isinstance(model, quartic.ModeSchedule) else lambda m: model
-        return quartic.quartic_smatrices(scn.potential, [(m, pick(m)) for m in range(lo, hi + 1)])
-    sols = []
-    for m in range(lo, hi + 1):
-        try:
-            mode = channels.classify_mode(scn.potential, m)
-            model = scn.model
-            if isinstance(model, scenario.ElasticAssignment):
-                model = model.for_mode(mode)
-            sols.append(channels.solve_channel(scn.potential, mode, model))
-        except ConfigError:
-            raise
-        except FluxsinkError as exc:
-            raise type(exc)(f"mode m={m}: {exc}") from exc
-    return sols
+    return scn.potential.solve(range(lo, hi + 1), scn.model)
 
 
 def _check_coverage(scn: scenario.Scenario, m_range: tuple) -> None:
-    """An explicit range must still cover every absorbing mode."""
+    """An explicit range must still cover every mode the potential requires."""
     lo, hi = int(m_range[0]), int(m_range[1])
-    if scn.is_quartic:
-        if isinstance(scn.model, quartic.ModeSchedule):
-            a = scn.model.m_abs
-            if lo > -a or hi < a:
-                raise ConfigError(
-                    f"m_range [{lo}, {hi}] misses absorbed modes |m| <= {a};"
-                    " use m_range = auto"
-                )
-        return
-    missing = [m for m in channels.nonregular_modes(scn.potential) if not lo <= m <= hi]
+    pot = scn.potential
+    missing = [m for m in pot.required_modes(scn.model) if not lo <= m <= hi]
     if missing:
         raise ConfigError(
-            f"m_range [{lo}, {hi}] misses non-Regular modes {missing};"
+            f"m_range [{lo}, {hi}] misses {pot.REQUIRED} {missing};"
             " use m_range = auto"
         )
 
@@ -112,17 +87,13 @@ def _total_sigma(sols: list) -> float:
     return total
 
 
-def _model_label(model) -> str:
-    if isinstance(model, channels.Sink) or isinstance(model, quartic.Sink):
+def _model_label(model, pot) -> str:
+    if isinstance(model, channels.Sink):
         return "sink"
-    if isinstance(model, scenario.ElasticAssignment):
-        return f"elastic(l={_g17(model.l)}, theta={_g17(model.theta)})"
-    if isinstance(model, quartic.Elastic):
-        return f"elastic(theta={_g17(model.theta)})"
+    if isinstance(model, channels.Elastic):
+        return "elastic(" + ", ".join(f"{k}={_g17(getattr(model, k))}" for k in pot.ELASTIC_KEYS) + ")"
     if isinstance(model, channels.TotalAbsorption):
-        return f"total_absorption(window=[{-model.n_minus}, {model.n_plus}])"
-    if isinstance(model, quartic.ModeSchedule):
-        return f"total_absorption(|m| <= {model.m_abs}) + elastic outside"
+        return pot.WINDOW_LABEL.format(lo=-model.n_minus, hi=model.n_plus)
     if isinstance(model, channels.Custom):
         ms = ", ".join(str(m) for m in sorted(model.ratios))
         return f"custom(modes {ms})"
@@ -136,8 +107,7 @@ def _phi_grid(n: int) -> np.ndarray:
 
 def _differential(scn: scenario.Scenario, sols: list, n: int):
     grid = _phi_grid(n)
-    amp = quartic.quartic_amplitude if scn.is_quartic else channels.amplitude
-    values = [abs(amp(scn.potential, sols, float(ph))) ** 2 for ph in grid]
+    values = [abs(scn.potential.amplitude(sols, float(ph))) ** 2 for ph in grid]
     return grid, values
 
 
@@ -181,17 +151,16 @@ def _mode_rows(sols: list) -> list:
 def _summary_pairs(scn: scenario.Scenario, m_range: tuple, total: float) -> list:
     """(key, value) rows with native types; the writers format them."""
     cfg = scn.potential
-    pairs = [("potential", "inverse_quartic" if scn.is_quartic else "inverse_square")]
-    pairs.append(("beta", cfg.beta))
-    if scn.is_quartic:
-        pairs.append(("lam", cfg.lam))
-    else:
-        pairs.append(("gamma", cfg.gamma))
+    pairs = [
+        ("potential", cfg.KIND),
+        ("beta", cfg.beta),
+        (cfg.COUPLING, getattr(cfg, cfg.COUPLING)),
+    ]
     pairs.extend(
         [
             ("p", cfg.p),
             ("mass", cfg.mass),
-            ("model", _model_label(scn.model)),
+            ("model", _model_label(scn.model, cfg)),
             ("m_lo", int(m_range[0])),
             ("m_hi", int(m_range[1])),
             ("phi_samples", scn.phi_samples),
@@ -315,7 +284,7 @@ def run_sweep(scn: scenario.Scenario, axes: list, out_dir: str, fmt: str) -> str
     """Cartesian sweep over potential parameters; one row per grid point."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r} (csv or json)")
-    allowed = {"beta", "p", "mass", "lam" if scn.is_quartic else "gamma"}
+    allowed = {"beta", "p", "mass", scn.potential.COUPLING}
     names = [name for name, _ in axes]
     for name in names:
         if name not in allowed:
@@ -467,7 +436,7 @@ def _quartic_worst() -> tuple:
     forward = 0.0
     for m, conn in zip((0, 1), quartic.connection_matrices(cfg, (0, 1))):
         flux = max(flux, max(conn.flux_defects))
-        sol = quartic.quartic_smatrix(cfg, m, quartic.Elastic())
+        sol = quartic.quartic_smatrix(cfg, m, channels.Elastic())
         unit = max(unit, abs(abs(sol.s_matrix) - 1.0))
         forward = max(forward, quartic.forward_fit_defect(cfg, m))
     back = quartic.backward_defect(cfg, 0)

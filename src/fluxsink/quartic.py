@@ -15,6 +15,8 @@ symmetric under x -> -x, with w = lam/rho = sqrt(q) e^{-x} on the left
 and u = p rho = sqrt(q) e^{x} on the right.  A connection matrix T maps
 the origin-side wave coefficients (c3, c4) to the infinity-side (a, b);
 boundary models pick the origin-side combination and T delivers S_m.
+The models are the channels vocabulary: Sink (c4 = 0), Elastic(theta)
+and TotalAbsorption, whose window has S_m = 0 and Elastic() outside.
 
 By the mirror symmetry the origin-side waves are the infinity-side ones
 reflected.  One inward integration of the dressed outgoing wave f+ from
@@ -42,7 +44,10 @@ from scipy.special import h1vp, hankel1, hankel2
 
 from .channels import (
     ChannelSolution,
+    Elastic,
     PartialMode,
+    Sink,
+    TotalAbsorption,
     _ab_smatrix,
     ab_amplitude_closed,
 )
@@ -51,18 +56,12 @@ from .oracle import _lstsq_two_column, _run_stage
 
 __all__ = [
     "QuarticConfig",
-    "Elastic",
-    "Sink",
-    "TotalAbsorption",
     "ConnectionMatrix",
     "connection_matrix",
     "connection_matrices",
     "quartic_smatrix",
     "quartic_smatrices",
     "capture_probability",
-    "ModeSchedule",
-    "model_schedule",
-    "schedule_cross_section",
     "backward_defect",
     "forward_fit_defect",
     "quartic_amplitude",
@@ -79,6 +78,13 @@ _cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first
 @dataclass(frozen=True)
 class QuarticConfig:
     """Flux beta, core coupling lam (length^2 scale), wavenumber p, mass."""
+
+    KIND = "inverse_quartic"  # [potential] kind in scenario files
+    COUPLING = "lam"  # core-strength field, scenario key and sweep axis
+    ELASTIC_KEYS = ("theta",)  # Elastic parameters this core reads
+    WINDOW_KEYS = ("m_abs",)  # one key: the window |m| <= m_abs
+    WINDOW_LABEL = "total_absorption(|m| <= {hi}) + elastic outside"
+    REQUIRED = "absorbed modes"  # what required_modes returns, for messages
 
     beta: float
     lam: float
@@ -106,22 +112,19 @@ class QuarticConfig:
     def mathieu_a(self, m: int) -> float:
         return (m - self.beta) ** 2
 
+    def required_modes(self, model) -> list[int]:
+        """The TotalAbsorption window, which an explicit range must cover."""
+        if not isinstance(model, (Sink, Elastic, TotalAbsorption)):
+            raise ConfigError(f"{type(model).__name__} does not apply to the inverse_quartic core")
+        if isinstance(model, TotalAbsorption):
+            return list(range(-model.n_minus, model.n_plus + 1))
+        return []
 
-@dataclass(frozen=True)
-class Elastic:
-    """Self-adjoint core: R = e^{-i theta} R3 + e^{i theta} R4 at the origin."""
+    def solve(self, ms, model) -> list:
+        return quartic_smatrices(self, ms, model)
 
-    theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class Sink:
-    """Purely infalling wave at the origin (capture boundary condition)."""
-
-
-@dataclass(frozen=True)
-class TotalAbsorption:
-    """No outgoing wave at infinity: S_m = 0, sigma_m = 1/p."""
+    def amplitude(self, solutions: list, phi: float) -> complex:
+        return quartic_amplitude(self, solutions, phi)
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,7 @@ def forward_fit_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
         cols.append(_fit_waves(nu, q, u, res.y[0]))
     forward = ConnectionMatrix(entries=np.array(cols, dtype=complex).T, nu=nu, q=q)
     pair = (connection_matrix(cfg, m, tol), forward)
-    s = [[_solution(cfg, m, model, t).s_matrix for t in pair] for model in (Sink(), Elastic(1.1))]
+    s = [[_solution(cfg, m, model, t).s_matrix for t in pair] for model in (Sink(), Elastic(theta=1.1))]
     return max(abs(a - b) for a, b in s)
 
 
@@ -321,21 +324,25 @@ def backward_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
 
 
 def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
-    """Mode m under model; conn is its ConnectionMatrix (unused for TotalAbsorption)."""
+    """Mode m under model; conn is its ConnectionMatrix (unused inside a window).
+
+    Elastic is R = e^{-i theta} R3 + e^{i theta} R4 at the origin, Sink
+    the purely infalling R3.
+    """
     nu = abs(m - cfg.beta)
     mode = PartialMode(m=m, nu_squared=nu * nu, mu=nu, regime=REGIME_QUARTIC)
     if isinstance(model, TotalAbsorption):
-        return ChannelSolution(
-            mode=mode, a=0.0, b=1.0, s_matrix=0.0, sigma_abs=1.0 / cfg.p, _cfg=cfg
-        )
+        if model.covers(m):
+            return ChannelSolution(
+                mode=mode, a=0.0, b=1.0, s_matrix=0.0, sigma_abs=1.0 / cfg.p, _cfg=cfg
+            )
+        model = Elastic()
     t = conn.entries
     if isinstance(model, Sink):
         a_m, b_m = t[0, 0], t[1, 0]
-    elif isinstance(model, Elastic):
+    else:
         c = np.array([cmath.exp(-1j * model.theta), cmath.exp(1j * model.theta)])
         a_m, b_m = t @ c
-    else:
-        raise ConfigError(f"unsupported boundary model {model!r}")
     s = cmath.exp(1j * math.pi * (m - nu)) * a_m / b_m
     if isinstance(model, Elastic):
         sigma = 0.0  # self-adjoint condition conserves flux exactly
@@ -346,43 +353,23 @@ def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
     return ChannelSolution(mode=mode, a=a_m, b=b_m, s_matrix=s, sigma_abs=sigma, _cfg=cfg)
 
 
-def quartic_smatrices(cfg: QuarticConfig, modes, tol: float = 1e-8) -> list:
-    """Solve (m, model) pairs of the rho^-4 channel in order, in at most one ODE solve."""
-    modes = list(modes)
-    need = [m for m, model in modes if not isinstance(model, TotalAbsorption)]
+def quartic_smatrices(cfg: QuarticConfig, ms, model, tol: float = 1e-8) -> list:
+    """Solve modes ms of the rho^-4 channel under model, in order, in at most one ODE solve."""
+    ms = list(ms)
+    window = cfg.required_modes(model)  # S = 0 there: no connection matrix needed
+    need = [m for m in ms if m not in window]
     conns = dict(zip(need, connection_matrices(cfg, need, tol)))
-    return [_solution(cfg, m, model, conns.get(m)) for m, model in modes]
+    return [_solution(cfg, m, model, conns.get(m)) for m in ms]
 
 
 def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float = 1e-8) -> ChannelSolution:
     """Solve one mode of the rho^-4 channel under the given boundary model."""
-    return quartic_smatrices(cfg, [(m, model)], tol)[0]
+    return quartic_smatrices(cfg, [m], model, tol)[0]
 
 
 def capture_probability(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     """1 - |S_m|^2 for the purely infalling (capture) boundary condition."""
     return cfg.p * quartic_smatrix(cfg, m, Sink(), tol).sigma_abs
-
-
-@dataclass(frozen=True)
-class ModeSchedule:
-    """Inner model for |m| <= m_abs, outer model beyond."""
-
-    cfg: QuarticConfig
-    m_abs: int
-    inner: object
-    outer: object
-
-    def __post_init__(self) -> None:
-        if self.m_abs < 0:
-            raise ConfigError(f"m_abs must be >= 0, got {self.m_abs}")
-
-    def model_for(self, m: int) -> object:
-        return self.inner if abs(m) <= self.m_abs else self.outer
-
-
-def model_schedule(cfg: QuarticConfig, m_abs: int, model_inner, model_outer) -> ModeSchedule:
-    return ModeSchedule(cfg=cfg, m_abs=m_abs, inner=model_inner, outer=model_outer)
 
 
 def quartic_amplitude(cfg: QuarticConfig, solutions: list, phi: float) -> complex:
@@ -401,24 +388,3 @@ def quartic_amplitude(cfg: QuarticConfig, solutions: list, phi: float) -> comple
         dm = sol.s_matrix - _ab_smatrix(cfg.beta, sol.mode.m)
         acc += dm * cmath.exp(1j * sol.mode.m * phi)
     return c * acc + base
-
-
-def schedule_cross_section(
-    schedule: ModeSchedule, m_range: tuple[int, int] | None = None, tol: float = 1e-8
-) -> float:
-    """Total absorption cross section under a per-mode model schedule.
-
-    Elastic modes contribute exactly zero and TotalAbsorption modes exactly
-    1/p, so when the outer model is elastic the default range is just the
-    inner window; an absorbing outer model needs an explicit m_range.
-    """
-    if m_range is None:
-        if not isinstance(schedule.outer, Elastic):
-            raise ConfigError("absorbing outer model needs an explicit m_range")
-        m_range = (-schedule.m_abs, schedule.m_abs)
-    lo, hi = m_range
-    if lo > hi:
-        raise ConfigError(f"empty mode range {m_range}")
-    pairs = [(m, schedule.model_for(m)) for m in range(lo, hi + 1)]
-    absorbing = [(m, model) for m, model in pairs if not isinstance(model, Elastic)]
-    return sum((sol.sigma_abs for sol in quartic_smatrices(schedule.cfg, absorbing, tol)), 0.0)

@@ -3,7 +3,10 @@
 A scenario names a potential (inverse-square core with flux, or the
 inverse-quartic polarization core), a boundary model, a mode range, an
 angular grid, and output preferences.  load_scenario and write_scenario
-round-trip losslessly.
+round-trip losslessly.  The model kinds map onto the one vocabulary of
+channels (Sink, Elastic, TotalAbsorption, Custom) for both potentials;
+the config class says which keys its core reads (KIND, COUPLING,
+ELASTIC_KEYS, WINDOW_KEYS).
 
 Schema (all keys shown; optional ones carry their defaults):
 
@@ -17,12 +20,15 @@ Schema (all keys shown; optional ones carry their defaults):
 
     [model]
     kind = sink                  ; sink | elastic | total_absorption | custom
-    l = 0.0                      ; elastic, subcritical parameter
-    theta = 0.0                  ; elastic, supercritical / quartic parameter
-    n_minus = 0                  ; total_absorption window (inverse_square)
-    n_plus = 0
-    m_abs = 0                    ; total_absorption window (inverse_quartic)
+    l = 0.0                      ; elastic, subcritical parameter (inverse_square)
+    theta = 0.0                  ; elastic, supercritical / quartic core phase
+    n_minus = 0                  ; total_absorption window [-n_minus, n_plus]
+    n_plus = 0                   ;   (inverse_square)
+    m_abs = 0                    ; total_absorption window |m| <= m_abs
+                                 ;   (inverse_quartic); S = 0 inside the
+                                 ;   window, elastic outside, both cores
     ratio_0 = 0.1, -0.05         ; custom: per-mode a/b as "re, im"
+                                 ;   (inverse_square)
 
     [modes]
     m_range = auto               ; or "lo:hi"
@@ -45,30 +51,13 @@ from .errors import ConfigError
 
 __all__ = [
     "Scenario",
-    "ElasticAssignment",
     "load_scenario",
     "write_scenario",
     "resolve_m_range",
 ]
 
 _MODEL_KINDS = ("sink", "elastic", "total_absorption", "custom")
-
-
-@dataclass(frozen=True)
-class ElasticAssignment:
-    """Self-adjoint condition for every mode: l below criticality, theta above.
-
-    A single run usually spans both non-Regular regimes, and the two elastic
-    parameterizations are regime-bound; this assigns the right one per mode.
-    """
-
-    l: float = 0.0
-    theta: float = 0.0
-
-    def for_mode(self, mode) -> object:
-        if mode.regime == channels.Regime.SUPERCRITICAL:
-            return channels.ElasticSupercritical(theta=self.theta)
-        return channels.ElasticSubcritical(l=self.l)
+_POTENTIALS = (channels.ScatteringConfig, quartic.QuarticConfig)
 
 
 @dataclass(frozen=True)
@@ -81,10 +70,6 @@ class Scenario:
     phi_samples: int
     out_format: str
     out_path: str
-
-    @property
-    def is_quartic(self) -> bool:
-        return isinstance(self.potential, quartic.QuarticConfig)
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, default=None):
@@ -120,12 +105,10 @@ def _parse_potential(cp) -> object:
     beta = _get_float(cp, "potential", "beta")
     p = _get_float(cp, "potential", "p")
     mass = _get_float(cp, "potential", "mass", "0.5")
-    if kind == "inverse_square":
-        gamma = _get_float(cp, "potential", "gamma")
-        return channels.ScatteringConfig(beta=beta, gamma=gamma, p=p, mass=mass)
-    if kind == "inverse_quartic":
-        lam = _get_float(cp, "potential", "lam")
-        return quartic.QuarticConfig(beta=beta, lam=lam, p=p, mass=mass)
+    for cls in _POTENTIALS:
+        if kind == cls.KIND:
+            coupling = _get_float(cp, "potential", cls.COUPLING)
+            return cls(beta=beta, p=p, mass=mass, **{cls.COUPLING: coupling})
     raise ConfigError(
         f"[potential] kind = {kind!r}; expected inverse_square or inverse_quartic"
     )
@@ -145,27 +128,16 @@ def _parse_model(cp, potential) -> object:
     kind = _get(cp, "model", "kind").strip().lower()
     if kind not in _MODEL_KINDS:
         raise ConfigError(f"[model] kind = {kind!r}; expected one of {_MODEL_KINDS}")
-    is_quartic = isinstance(potential, quartic.QuarticConfig)
     if kind == "sink":
-        return quartic.Sink() if is_quartic else channels.Sink()
+        return channels.Sink()
     if kind == "elastic":
-        theta = _get_float(cp, "model", "theta", "0.0")
-        if is_quartic:
-            return quartic.Elastic(theta=theta)
-        l_value = _get_float(cp, "model", "l", "0.0")
-        return ElasticAssignment(l=l_value, theta=theta)
+        keys = potential.ELASTIC_KEYS
+        return channels.Elastic(**{k: _get_float(cp, "model", k, "0.0") for k in keys})
     if kind == "total_absorption":
-        if is_quartic:
-            m_abs = _get_int(cp, "model", "m_abs", "0")
-            return quartic.model_schedule(
-                potential, m_abs, quartic.TotalAbsorption(), quartic.Elastic()
-            )
-        n_minus = _get_int(cp, "model", "n_minus", "0")
-        n_plus = _get_int(cp, "model", "n_plus", "0")
-        return channels.TotalAbsorption(n_minus=n_minus, n_plus=n_plus)
+        # a one-key window is symmetric: m_abs = k is [-k, k]
+        bounds = [_get_int(cp, "model", k, "0") for k in potential.WINDOW_KEYS]
+        return channels.TotalAbsorption(n_minus=bounds[0], n_plus=bounds[-1])
     # custom per-mode ratios
-    if is_quartic:
-        raise ConfigError("[model] custom ratios apply to inverse_square only")
     ratios = {}
     for key, raw in cp.items("model"):
         if key.startswith("ratio_"):
@@ -176,7 +148,9 @@ def _parse_model(cp, potential) -> object:
             ratios[m] = _parse_ratio(raw, m)
     if not ratios:
         raise ConfigError("[model] custom model needs at least one ratio_<m> key")
-    return channels.Custom(ratios=ratios)
+    model = channels.Custom(ratios=ratios)
+    potential.required_modes(model)  # rejects a model the core does not take
+    return model
 
 
 def _parse_m_range(cp) -> tuple | None:
@@ -225,21 +199,17 @@ def load_scenario(path: str) -> Scenario:
     )
 
 
-def _format_model(model) -> list[str]:
-    if isinstance(model, (channels.Sink, quartic.Sink)):
+def _format_model(model, potential) -> list[str]:
+    if isinstance(model, channels.Sink):
         return ["kind = sink"]
-    if isinstance(model, ElasticAssignment):
-        return ["kind = elastic", f"l = {model.l!r}", f"theta = {model.theta!r}"]
-    if isinstance(model, quartic.Elastic):
-        return ["kind = elastic", f"theta = {model.theta!r}"]
+    if isinstance(model, channels.Elastic):
+        return ["kind = elastic"] + [f"{k} = {getattr(model, k)!r}" for k in potential.ELASTIC_KEYS]
     if isinstance(model, channels.TotalAbsorption):
-        return [
-            "kind = total_absorption",
-            f"n_minus = {model.n_minus}",
-            f"n_plus = {model.n_plus}",
-        ]
-    if isinstance(model, quartic.ModeSchedule):
-        return ["kind = total_absorption", f"m_abs = {model.m_abs}"]
+        keys = potential.WINDOW_KEYS
+        if len(keys) == 1 and model.n_minus != model.n_plus:
+            raise ConfigError(f"{potential.KIND} scenario files hold symmetric windows only")
+        bounds = {keys[0]: model.n_minus, keys[-1]: model.n_plus}
+        return ["kind = total_absorption"] + [f"{k} = {v}" for k, v in bounds.items()]
     if isinstance(model, channels.Custom):
         lines = ["kind = custom"]
         for m in sorted(model.ratios):
@@ -253,19 +223,14 @@ def write_scenario(scenario: Scenario, path: str) -> None:
     """Write an INI file that load_scenario parses back to an equal Scenario."""
     pot = scenario.potential
     lines = ["[potential]"]
-    if scenario.is_quartic:
-        lines.append("kind = inverse_quartic")
-        lines.append(f"beta = {pot.beta!r}")
-        lines.append(f"lam = {pot.lam!r}")
-    else:
-        lines.append("kind = inverse_square")
-        lines.append(f"beta = {pot.beta!r}")
-        lines.append(f"gamma = {pot.gamma!r}")
+    lines.append(f"kind = {pot.KIND}")
+    lines.append(f"beta = {pot.beta!r}")
+    lines.append(f"{pot.COUPLING} = {getattr(pot, pot.COUPLING)!r}")
     lines.append(f"p = {pot.p!r}")
     lines.append(f"mass = {pot.mass!r}")
     lines.append("")
     lines.append("[model]")
-    lines.extend(_format_model(scenario.model))
+    lines.extend(_format_model(scenario.model, pot))
     lines.append("")
     lines.append("[modes]")
     if scenario.m_range is None:
@@ -285,13 +250,10 @@ def write_scenario(scenario: Scenario, path: str) -> None:
 
 
 def resolve_m_range(scenario: Scenario) -> tuple:
-    """Concrete (lo, hi): auto covers non-Regular modes plus a 10-mode margin."""
+    """Concrete (lo, hi): auto covers the required modes plus a 10-mode margin."""
     if scenario.m_range is not None:
         return scenario.m_range
-    if scenario.is_quartic:
-        m_abs = scenario.model.m_abs if isinstance(scenario.model, quartic.ModeSchedule) else 0
-        return (-m_abs - 10, m_abs + 10)
-    modes = channels.nonregular_modes(scenario.potential)
+    modes = scenario.potential.required_modes(scenario.model)
     if not modes:
         return (-10, 10)
     return (min(modes) - 10, max(modes) + 10)

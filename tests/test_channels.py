@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from fluxsink import cli
 from fluxsink.channels import (
     Custom,
+    Elastic,
     ElasticSubcritical,
     ElasticSupercritical,
     Regime,
@@ -17,13 +19,10 @@ from fluxsink.channels import (
     ab_amplitude_closed,
     amplitude,
     classify_mode,
-    cross_sections,
-    elastic_supercritical_smatrix,
     nonregular_modes,
     partial_current,
     physical_coefficients,
     solve_channel,
-    tail_mode_bound,
 )
 from fluxsink.errors import (
     ConfigError,
@@ -33,6 +32,7 @@ from fluxsink.errors import (
     ModelRegimeMismatch,
     UnitarityViolation,
 )
+from fluxsink.scenario import Scenario
 
 
 def rel(got, want):
@@ -47,8 +47,9 @@ def draw_config(rng, gamma_max=3.0):
             gamma=rng.uniform(0.05, gamma_max),
             p=10 ** rng.uniform(-1, 1),
         )
+        bound = max(20, math.ceil(10.0 * cfg.critical_upper))
         try:
-            for m in range(-tail_mode_bound(cfg), tail_mode_bound(cfg) + 1):
+            for m in range(-bound, bound + 1):
                 classify_mode(cfg, m)
         except DegenerateModeError:
             continue
@@ -187,13 +188,13 @@ def test_elastic_supercritical_unitary_and_periodic():
         m = supers[rng.integers(len(supers))]
         mode = classify_mode(cfg, m)
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        s = elastic_supercritical_smatrix(mode, theta, cfg)
+        s = solve_channel(cfg, mode, ElasticSupercritical(theta=theta)).s_matrix
         assert abs(abs(s) - 1.0) <= 1e-10
-        s2 = elastic_supercritical_smatrix(mode, theta + 2.0 * math.pi, cfg)
+        s2 = solve_channel(cfg, mode, ElasticSupercritical(theta=theta + 2.0 * math.pi)).s_matrix
         assert rel(s, s2) < 1e-12
     cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
     with pytest.raises(ModelRegimeMismatch):
-        elastic_supercritical_smatrix(classify_mode(cfg, 1), 0.0, cfg)
+        solve_channel(cfg, classify_mode(cfg, 1), ElasticSupercritical(theta=0.0))
 
 
 def test_elastic_regime_mismatches():
@@ -352,20 +353,24 @@ def test_amplitude_periodicity():
     assert rel(a1, a2) < 1e-12
 
 
-# ----------------------------------------------------------- cross sections
+# ------------------------------------------------ run-level cross sections
+
+
+def _phi_grid():
+    return np.linspace(0.002, 2.0 * math.pi - 0.002, 721)
 
 
 def test_cross_sections_sink_example():
     # only m = 0 is supercritical: total equals its sink cross section
     cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
-    rep = cross_sections(cfg, Sink(), (-5, 5))
+    sols = cfg.solve(range(-5, 6), Sink())
+    partial = {s.mode.m: s.sigma_abs for s in sols}
     want = 1.0 - math.exp(-0.8 * math.pi)
-    assert rel(rep.total_abs, want) < 1e-13
-    assert rep.partial_abs[1] == 0.0
-    assert rep.partial_abs[3] == 0.0
-    assert rep.mode_range == (-5, 5)
-    assert np.all(rep.differential_elastic >= 0.0)
-    assert rep.phi.shape == rep.differential_elastic.shape
+    assert rel(sum(partial.values()), want) < 1e-13
+    assert partial[1] == 0.0
+    assert partial[3] == 0.0
+    assert [s.mode.m for s in sols] == list(range(-5, 6))
+    assert all(math.isfinite(abs(cfg.amplitude(sols, phi))) for phi in _phi_grid())
 
 
 def test_cross_sections_partial_bounds():
@@ -373,24 +378,35 @@ def test_cross_sections_partial_bounds():
     win = nonregular_modes(cfg)
     sup = [m for m in win if classify_mode(cfg, m).regime == Regime.SUPERCRITICAL]
     model = TotalAbsorption(n_minus=-min(sup), n_plus=max(sup))
-    rep = cross_sections(cfg, model, (min(win) - 3, max(win) + 3))
-    for m, s in rep.partial_abs.items():
-        assert 0.0 <= s <= 1.0 / cfg.p
-        if m in sup:
-            assert s == 1.0 / cfg.p
-    assert rel(rep.total_abs, len(sup) / cfg.p) < 1e-13
+    sols = cfg.solve(range(min(win) - 3, max(win) + 4), model)
+    for sol in sols:
+        assert 0.0 <= sol.sigma_abs <= 1.0 / cfg.p
+        if sol.mode.m in sup:
+            assert sol.sigma_abs == 1.0 / cfg.p
+    assert rel(sum(s.sigma_abs for s in sols), len(sup) / cfg.p) < 1e-13
 
 
-def test_cross_sections_incomplete_range():
+def test_cross_sections_incomplete_range(tmp_path):
     cfg = ScatteringConfig(beta=0.3, gamma=2.2, p=1.0)
     with pytest.raises(IncompleteRangeError):
-        cross_sections(cfg, Sink(), (0, 1))
-    with pytest.raises(ConfigError):
-        cross_sections(cfg, Sink(), (3, -3))
+        amplitude(cfg, cfg.solve(range(0, 2), Sink()), math.pi)
+    for m_range in ((0, 1), (3, -3)):
+        scn = Scenario(cfg, Sink(), m_range, 0, "csv", str(tmp_path))
+        with pytest.raises(ConfigError):
+            cli.run_scenario(scn, str(tmp_path), "csv")
 
 
 def test_cross_sections_elastic_all_zero():
     cfg = ScatteringConfig(beta=0.5, gamma=0.0, p=1.0)
-    rep = cross_sections(cfg, ElasticSubcritical(l=0.7), (-4, 4))
-    assert rep.total_abs == 0.0
-    assert all(v == 0.0 for v in rep.partial_abs.values())
+    sols = cfg.solve(range(-4, 5), ElasticSubcritical(l=0.7))
+    assert all(s.sigma_abs == 0.0 for s in sols)
+
+
+def test_elastic_picks_the_regime_parameter():
+    cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
+    model = Elastic(l=0.7, theta=1.2)
+    for m, regime_model in ((0, ElasticSupercritical(theta=1.2)), (1, ElasticSubcritical(l=0.7))):
+        mode = classify_mode(cfg, m)
+        assert solve_channel(cfg, mode, model) == solve_channel(cfg, mode, regime_model)
+    with pytest.raises(TypeError):
+        Elastic(0.3)  # keyword-only: a bare number names no parameter

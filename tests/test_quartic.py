@@ -1,4 +1,4 @@
-"""rho^-4 channel: connection matrices, boundary models, mode schedules."""
+"""rho^-4 channel: connection matrices, boundary models, absorbed windows."""
 
 import cmath
 import math
@@ -8,10 +8,10 @@ import pytest
 
 from fluxsink import quartic
 from fluxsink.errors import ConfigError, FitDegenerateError
+from fluxsink.channels import Custom
 from fluxsink.quartic import (
     ConnectionMatrix,
     Elastic,
-    ModeSchedule,
     QuarticConfig,
     Sink,
     TotalAbsorption,
@@ -20,9 +20,7 @@ from fluxsink.quartic import (
     connection_matrices,
     connection_matrix,
     forward_fit_defect,
-    model_schedule,
     quartic_smatrix,
-    schedule_cross_section,
 )
 
 Q1 = QuarticConfig(beta=0.0, lam=1.0, p=1.0)  # q = 1 reference point
@@ -126,7 +124,7 @@ def test_sink_capture_two_tolerances():
 
 
 def test_total_absorption_exact():
-    sol = quartic_smatrix(Q1, 2, TotalAbsorption())
+    sol = quartic_smatrix(Q1, 2, TotalAbsorption(n_minus=0, n_plus=2))
     assert sol.s_matrix == 0
     assert sol.sigma_abs == 1.0 / Q1.p
     assert sol.delta is None
@@ -165,39 +163,46 @@ def test_capture_monotone_in_centrifugal_order():
     assert caps[5] < 1e-6
 
 
+def _sigma_total(cfg, model, ms):
+    return sum((sol.sigma_abs for sol in cfg.solve(ms, model)), 0.0)
+
+
 def test_schedule_single_absorbed_mode():
-    sch = model_schedule(Q1, 0, TotalAbsorption(), Elastic())
-    assert schedule_cross_section(sch) == 1.0 / Q1.p
+    model = TotalAbsorption()
+    assert Q1.required_modes(model) == [0]
+    assert _sigma_total(Q1, model, [0]) == 1.0 / Q1.p
 
 
 def test_schedule_window_count():
+    # the window |m| <= 2 absorbs 1/p per mode; the elastic modes outside add 0
     cfg = QuarticConfig(beta=0.2, lam=1.0, p=1.0)
-    sch = model_schedule(cfg, 2, TotalAbsorption(), Elastic())
-    assert schedule_cross_section(sch) == 5.0 / cfg.p
+    assert _sigma_total(cfg, TotalAbsorption(n_minus=2, n_plus=2), range(-3, 4)) == 5.0 / cfg.p
 
 
 def test_schedule_all_elastic():
-    sch = model_schedule(Q1, 2, Elastic(0.3), Elastic())
-    assert schedule_cross_section(sch) == 0.0
+    assert _sigma_total(Q1, Elastic(theta=0.3), range(-2, 3)) == 0.0
+    assert Q1.required_modes(Elastic()) == []
 
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        model_schedule(Q1, -1, Elastic(), Elastic())
-    sch = model_schedule(Q1, 1, Sink(), Sink())
+        TotalAbsorption(n_minus=-1, n_plus=0)
     with pytest.raises(ConfigError):
-        schedule_cross_section(sch)  # absorbing outer model needs a range
+        Q1.required_modes(Custom(ratios={0: 0.5}))  # a ratio of the inverse-square core
     with pytest.raises(ConfigError):
-        schedule_cross_section(model_schedule(Q1, 1, Elastic(), Elastic()), m_range=(2, 1))
+        quartic_smatrix(Q1, 0, Custom(ratios={0: 0.5}))
 
 
 def test_schedule_model_for():
-    sch = model_schedule(Q1, 1, TotalAbsorption(), Elastic(0.4))
-    assert isinstance(sch.model_for(0), TotalAbsorption)
-    assert isinstance(sch.model_for(-1), TotalAbsorption)
-    assert isinstance(sch.model_for(2), Elastic)
+    # inside the window S = 0; outside it the default Elastic() applies
+    model = TotalAbsorption(n_minus=1, n_plus=1)
+    sols = Q1.solve([-1, 0, 2], model)
+    assert [s.s_matrix for s in sols[:2]] == [0, 0]
+    assert sols[2] == quartic_smatrix(Q1, 2, Elastic())
+    assert abs(abs(sols[2].s_matrix) - 1.0) <= 1e-6
 
 
 def test_connection_matrix_rejects_singular():
     with pytest.raises(FitDegenerateError):
         ConnectionMatrix(entries=np.zeros((2, 2), dtype=complex), nu=0.5, q=1.0)
+
