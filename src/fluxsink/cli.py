@@ -25,7 +25,8 @@ certify [--strict]
 
 All floating-point output is printed with 17 significant digits, so a
 given input produces byte-identical files.  Exit codes: 0 success,
-1 usage or configuration error, 2 solver error, 3 certification failure.
+1 usage or configuration error, 2 solver or any other unexpected error
+(one line on stderr, no traceback), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -536,6 +537,9 @@ def main(argv=None) -> int:
         return 1
     except FluxsinkError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a failure no check anticipated: one line, no traceback
+        print(f"solver error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
 
 

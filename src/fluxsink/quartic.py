@@ -143,6 +143,8 @@ class ConnectionMatrix:
 
     def __post_init__(self) -> None:
         t = self.entries
+        if not np.all(np.isfinite(t)):
+            raise FitDegenerateError(f"connection matrix has non-finite entries (nu={self.nu})")
         det = np.linalg.det(t)
         # entries beyond ~1e7 cannot resolve det = -1: their det is rounding noise
         floor = 1e-15 * (abs(t[0, 0] * t[1, 1]) + abs(t[0, 1] * t[1, 0]))
@@ -224,13 +226,18 @@ def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: f
     return _run_stage(rhs, x0, x1, np.asarray(y0, dtype=complex), x_eval, tol, cap, what)
 
 
-def _mirror_matrix(f: complex, g: complex, nu: float, q: float) -> ConnectionMatrix:
-    """T = M^{-1} diag(1, -1) M for M = [[f, conj f], [g, conj g]], written out."""
-    fg = f * g.conjugate()  # 2i Im(fg) = det M, the Wronskian of f+ and f-: never 0
+def _mirror_matrix(f: complex, g: complex, wronskian: float, nu: float, q: float) -> ConnectionMatrix:
+    """T = M^{-1} diag(1, -1) M for M = [[f, conj f], [g, conj g]], written out.
+
+    det M = 2i Im(f conj g) = 2i wronskian.  The Wronskian is conserved, so
+    it is taken from the start point: at x = 0 orders nu >> sqrt(q) have
+    |f| |g| near 1e22, and Im(f conj g) there cancels to rounding noise.
+    """
+    fg = f * g.conjugate()
     t = np.array([[2.0 * fg.real, 2.0 * (f * g).conjugate()], [-2.0 * f * g, -2.0 * fg.real]])
-    matrix = ConnectionMatrix(entries=t / (2j * fg.imag), nu=nu, q=q)
+    matrix = ConnectionMatrix(entries=t / (2j * wronskian), nu=nu, q=q)
     d3, d4, ddet = matrix.flux_defects
-    if max(d3, d4, ddet) > 1e-6:
+    if not max(d3, d4, ddet) <= 1e-6:  # NaN fails too
         raise FitDegenerateError(f"connection flux defects ({d3:.2e}, {d4:.2e}, {ddet:.2e}) exceed 1e-6")
     return matrix
 
@@ -249,11 +256,13 @@ def connection_matrices(cfg: QuarticConfig, ms, tol: float = 1e-8) -> list:
     if todo:
         nus = np.array([key[0] for key in todo])
         u0 = _start_w(q)
-        y0 = np.concatenate(_outgoing(nus, q, u0))  # d/dx = u d/du on this side
+        val, der = _outgoing(nus, q, u0)  # d/dx = u d/du on this side
+        wronskians = (val * der.conjugate()).imag  # -2/pi up to the dressing
         x0 = math.log(u0 / math.sqrt(q))
+        y0 = np.concatenate((val, der))
         end = _integrate(nus * nus, q, y0, x0, 0.0, [0.0], tol).y[:, -1]
-        for key, f, g in zip(todo, end[: len(todo)], end[len(todo) :]):
-            _cache[key] = _mirror_matrix(complex(f), complex(g), key[0], q)
+        for key, f, g, w in zip(todo, end[: len(todo)], end[len(todo) :], wronskians):
+            _cache[key] = _mirror_matrix(complex(f), complex(g), float(w), key[0], q)
     found = [_cache[key] for key in keys]
     while len(_cache) > _CACHE_SIZE:  # oldest first
         del _cache[next(iter(_cache))]
@@ -348,7 +357,7 @@ def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
         sigma = 0.0  # self-adjoint condition conserves flux exactly
     else:
         sigma = max(0.0, 1.0 - abs(s) ** 2) / cfg.p
-        if abs(s) > 1.0 + 1e-6:
+        if not abs(s) <= 1.0 + 1e-6:  # NaN fails too
             raise FitDegenerateError(f"mode m={m}: |S|={abs(s)} > 1 from a capture boundary")
     return ChannelSolution(mode=mode, a=a_m, b=b_m, s_matrix=s, sigma_abs=sigma, _cfg=cfg)
 

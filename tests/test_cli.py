@@ -340,7 +340,7 @@ def test_exit_codes(tmp_path, capsys):
     # mode on a regime boundary: solver error, surfaced with the mode index
     deg = _scenario_text(beta=0.5, gamma=0.5, path=str(tmp_path / "o"))
     assert cli.main(["run", _write(tmp_path, "deg.ini", deg)]) == 2
-    assert "m=0" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("m=0") == 1  # named once, not prefixed again
 
     # explicit range missing absorbing modes is a config error
     short = _scenario_text(m_range="2:5", path=str(tmp_path / "o"))
@@ -354,6 +354,16 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, name, value):
     assert cli.main(["run", _write(tmp_path, "nf.ini", text)]) == 1
     assert f"{name}={value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_failure_is_solver_error(tmp_path, capsys):
+    # lam = 1e300 overflows the quartic start point inside scipy, which
+    # raises a plain ValueError rather than a package error
+    text = _scenario_text(kind="inverse_quartic", lam=1e300, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "big.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_outdir_precedence(tmp_path, monkeypatch):

@@ -206,3 +206,20 @@ def test_connection_matrix_rejects_singular():
     with pytest.raises(FitDegenerateError):
         ConnectionMatrix(entries=np.zeros((2, 2), dtype=complex), nu=0.5, q=1.0)
 
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("model", [Sink(), Elastic()], ids=["sink", "elastic"])
+def test_high_orders_finite_and_approach_pure_flux(monkeypatch, p, model):
+    # orders nu >> sqrt(q) in one batch: |f| |f'| at x = 0 reaches ~1e22, so
+    # the Wronskian must come from the start point, not from f and f' there
+    cfg = QuarticConfig(beta=0.2, lam=1.0, p=p)
+    monkeypatch.setattr(quartic, "_cache", {})
+    ms = range(-12, 13)
+    dev = {}
+    for m, sol in zip(ms, cfg.solve(ms, model)):
+        assert cmath.isfinite(sol.s_matrix), m
+        s_ab = cmath.exp(1j * math.pi * (m - abs(m - cfg.beta)))
+        dev[m] = abs(sol.s_matrix - s_ab)
+    for side in (range(3, 13), range(-3, -13, -1)):
+        tail = [dev[m] for m in side]
+        assert all(a > b for a, b in zip(tail, tail[1:])), (side, tail)
