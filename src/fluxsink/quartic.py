@@ -117,6 +117,8 @@ class QuarticConfig:
         if not isinstance(model, (Sink, Elastic, TotalAbsorption)):
             raise ConfigError(f"{type(model).__name__} does not apply to the inverse_quartic core")
         if isinstance(model, TotalAbsorption):
+            if model.n_minus != model.n_plus:
+                raise ConfigError("the inverse_quartic window is |m| <= m_abs: n_minus must equal n_plus")
             return list(range(-model.n_minus, model.n_plus + 1))
         return []
 

@@ -206,8 +206,7 @@ def _format_model(model, potential) -> list[str]:
         return ["kind = elastic"] + [f"{k} = {getattr(model, k)!r}" for k in potential.ELASTIC_KEYS]
     if isinstance(model, channels.TotalAbsorption):
         keys = potential.WINDOW_KEYS
-        if len(keys) == 1 and model.n_minus != model.n_plus:
-            raise ConfigError(f"{potential.KIND} scenario files hold symmetric windows only")
+        potential.required_modes(model)  # a one-key window must be symmetric
         bounds = {keys[0]: model.n_minus, keys[-1]: model.n_plus}
         return ["kind = total_absorption"] + [f"{k} = {v}" for k, v in bounds.items()]
     if isinstance(model, channels.Custom):

@@ -124,7 +124,7 @@ def test_sink_capture_two_tolerances():
 
 
 def test_total_absorption_exact():
-    sol = quartic_smatrix(Q1, 2, TotalAbsorption(n_minus=0, n_plus=2))
+    sol = quartic_smatrix(Q1, 2, TotalAbsorption(n_minus=2, n_plus=2))
     assert sol.s_matrix == 0
     assert sol.sigma_abs == 1.0 / Q1.p
     assert sol.delta is None
@@ -191,6 +191,8 @@ def test_schedule_validation():
         Q1.required_modes(Custom(ratios={0: 0.5}))  # a ratio of the inverse-square core
     with pytest.raises(ConfigError):
         quartic_smatrix(Q1, 0, Custom(ratios={0: 0.5}))
+    with pytest.raises(ConfigError):
+        Q1.solve([0], TotalAbsorption(n_minus=0, n_plus=1))  # the window is |m| <= m_abs
 
 
 def test_schedule_model_for():
