@@ -260,7 +260,9 @@ def classify_mode(cfg: ScatteringConfig, m: int) -> PartialMode:
 
 
 def nonregular_modes(cfg: ScatteringConfig) -> list[int]:
-    """All m with |m - beta| < sqrt(1 + gamma^2), ascending."""
+    """All m with |m - beta| < sqrt(1 + gamma^2), ascending; none for the free field."""
+    if cfg.beta == 0.0 and cfg.gamma == 0.0:
+        return []
     upper = cfg.critical_upper
     lo = math.ceil(cfg.beta - upper)
     hi = math.floor(cfg.beta + upper)

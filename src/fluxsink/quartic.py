@@ -22,8 +22,12 @@ By the mirror symmetry the origin-side waves are the infinity-side ones
 reflected.  One inward integration of the dressed outgoing wave f+ from
 u = _start_w(q) to x = 0 gives M = [[f+, f-], [f+', f-']] there, with
 f- = conj(f+); the origin basis has the same values and negated
-derivatives, so T = M^{-1} diag(1, -1) M.  The step cap depends on
-(q, tol) only, so all orders nu of a run share one solve_ivp call.
+derivatives, so T = M^{-1} diag(1, -1) M.  Each half-line is integrated
+in its own variable v = sqrt(q) e^{|x|} (u on the right, w on the left),
+where the wave rate is about 1 from the start point down to x = 0, so a
+uniform step cap in v follows the local wavelength; the checks that
+cross x = 0 run as two stages split there.  The cap depends on tol
+only, so all orders nu of a run share one solve_ivp call.
 
 Wave-basis dressing: the exact solutions deviate from pure Hankels by
 the opposite end's potential tail, a + q^2/u^4 term in each local wave
@@ -100,6 +104,8 @@ class QuarticConfig:
             raise ConfigError(f"p must be positive, got {self.p}")
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ConfigError(f"mass must be positive, got {self.mass}")
+        if not math.isfinite(_start_w(self.q)):
+            raise ConfigError(f"q = p*lam = {self.q:g} is too large: the inward start point overflows")
 
     @property
     def rho0(self) -> float:
@@ -211,21 +217,47 @@ def _window_grid(q: float, u_lo: float, u_hi: float, sign: int) -> np.ndarray:
     return np.sort(x)
 
 
-def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: float):
-    """Solve R_xx = (a_k - 2 q cosh 2x) R_k for all k at once; y = (R..., R_x...)."""
+def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: float) -> np.ndarray:
+    """Solve R_xx = (a_k - 2 q cosh 2x) R_k for all k at once; y = (R..., R_x...).
+
+    Each half-line runs in its own variable v = sqrt(q) e^{|x|}: u for
+    x > 0, w for x < 0.  There dx/dv = sign(x)/v and 2 q cosh 2x =
+    v^2 + q^2/v^2, so the wave rate is about 1 everywhere and one step
+    cap in v follows the local wavelength.  An interval across x = 0 runs
+    as two stages split there.  Returns y at x_eval, ordered from x0 to x1.
+    """
     k = len(a)
     swap = np.r_[k : 2 * k, 0:k]  # (R, R_x) -> (R_x, R)
+    qq = q * q
+    root = math.sqrt(q)
 
-    def rhs(x, y):
+    def rhs(v, y):  # sign is the current stage's, set below
         dy = y[swap]
-        dy[k:] *= a - 2.0 * q * math.cosh(2.0 * x)
+        dy[k:] *= a - v * v - qq / (v * v)
+        dy *= sign / v
         return dy
 
-    rate = max(math.sqrt(q) * math.exp(abs(x0)), math.sqrt(q) * math.exp(abs(x1)), 1.0)
-    # >= 20 solver points per local wavelength at the fastest end
-    cap = min(2.0 * math.pi / 20.0, 26.5 * tol**0.3) / rate
+    # >= 20 solver points per local wavelength
+    cap = min(2.0 * math.pi / 20.0, 26.5 * tol**0.3)
     what = "mathieu (nu = " + ", ".join(f"{math.sqrt(ak):.6g}" for ak in a) + ")"
-    return _run_stage(rhs, x0, x1, np.asarray(y0, dtype=complex), x_eval, tol, cap, what)
+    x_eval = np.asarray(x_eval, dtype=float)
+    ends = [x0, 0.0, x1] if x0 * x1 < 0.0 else [x0, x1]
+    y = np.asarray(y0, dtype=complex)
+    out = []
+    for xa, xb in zip(ends, ends[1:]):
+        sign = 1.0 if xa + xb > 0.0 else -1.0
+        last = xb == x1
+        pts = x_eval[sign * x_eval >= 0.0] if last else x_eval[sign * x_eval > 0.0]
+        v_eval = root * np.exp(sign * pts)
+        if not last:  # also stop at x = 0 to hand the state on
+            v_eval = np.append(v_eval, root)
+        va, vb = root * math.exp(sign * xa), root * math.exp(sign * xb)
+        # np.exp and math.exp may differ in the last bit at the ends
+        v_eval = np.clip(v_eval, min(va, vb), max(va, vb))
+        res =_run_stage(rhs, va, vb, y, v_eval, tol, cap, what)
+        y = res.y[:, -1]
+        out.append(res.y if last else res.y[:, :-1])
+    return np.concatenate(out, axis=1)
 
 
 def _mirror_matrix(f: complex, g: complex, wronskian: float, nu: float, q: float) -> ConnectionMatrix:
@@ -262,7 +294,7 @@ def connection_matrices(cfg: QuarticConfig, ms, tol: float = 1e-8) -> list:
         wronskians = (val * der.conjugate()).imag  # -2/pi up to the dressing
         x0 = math.log(u0 / math.sqrt(q))
         y0 = np.concatenate((val, der))
-        end = _integrate(nus * nus, q, y0, x0, 0.0, [0.0], tol).y[:, -1]
+        end = _integrate(nus * nus, q, y0, x0, 0.0, [0.0], tol)[:, -1]
         for key, f, g, w in zip(todo, end[: len(todo)], end[len(todo) :], wronskians):
             _cache[key] = _mirror_matrix(complex(f), complex(g), float(w), key[0], q)
     found = [_cache[key] for key in keys]
@@ -298,9 +330,8 @@ def forward_fit_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     x_eval = _window_grid(q, FIT_U[0], FIT_U[1], sign=+1)
     cols = []
     for y0 in _origin_init(nu, q, x0):
-        res = _integrate(np.array([nu * nu]), q, y0, x0, x1, x_eval, tol)
-        u = math.sqrt(q) * np.exp(res.t)
-        cols.append(_fit_waves(nu, q, u, res.y[0]))
+        y = _integrate(np.array([nu * nu]), q, y0, x0, x1, x_eval, tol)
+        cols.append(_fit_waves(nu, q, math.sqrt(q) * np.exp(x_eval), y[0]))
     forward = ConnectionMatrix(entries=np.array(cols, dtype=complex).T, nu=nu, q=q)
     pair = (connection_matrix(cfg, m, tol), forward)
     s = [[_solution(cfg, m, model, t).s_matrix for t in pair] for model in (Sink(), Elastic(theta=1.1))]
@@ -322,15 +353,14 @@ def backward_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     w_deep = max(_start_w(q), 150.0)
     x0 = math.log(math.sqrt(q) / w_deep)
     w_hi = min(140.0, w_deep)
-    x_eval = _window_grid(q, 70.0, w_hi, sign=-1)
+    x_eval = _window_grid(q, 70.0, w_hi, sign=-1)[::-1]  # inward: descending x
 
     val, der = _outgoing(nu, q, FIT_U[1])  # d/dx = +u d/du on the infinity side
     a_m, b_m = t[0, 0], t[1, 0]
     y0 = [a_m * val + b_m * val.conjugate(), a_m * der + b_m * der.conjugate()]
 
-    res = _integrate(np.array([nu * nu]), q, y0, x1, x0, x_eval[::-1], tol)
-    w = math.sqrt(q) * np.exp(-res.t)
-    c3, c4 = _fit_waves(nu, q, w, res.y[0])
+    y = _integrate(np.array([nu * nu]), q, y0, x1, x0, x_eval, tol)
+    c3, c4 = _fit_waves(nu, q, math.sqrt(q) * np.exp(-x_eval), y[0])
     return float(abs(c3 - 1.0) + abs(c4))
 
 

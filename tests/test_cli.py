@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fluxsink import cli, oracle, quartic, scenario
+from fluxsink import channels, cli, oracle, quartic, scenario
 from fluxsink.errors import ConfigError
 
 
@@ -356,14 +356,36 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, name, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_unexpected_failure_is_solver_error(tmp_path, capsys):
-    # lam = 1e300 overflows the quartic start point inside scipy, which
-    # raises a plain ValueError rather than a package error
-    text = _scenario_text(kind="inverse_quartic", lam=1e300, path=str(tmp_path / "out"))
-    assert cli.main(["run", _write(tmp_path, "big.ini", text)]) == 2
+def test_unexpected_failure_is_solver_error(tmp_path, capsys, monkeypatch):
+    # a plain RuntimeError from inside a solve is no package error
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(quartic, "connection_matrices", broken)
+    text = _scenario_text(kind="inverse_quartic", lam=1.0, m_range="0:1", path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "boom.ini", text)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_huge_quartic_coupling_is_config_error(tmp_path, capsys):
+    # q = p lam = 1e300 overflows the inward start point: refused up front
+    text = _scenario_text(kind="inverse_quartic", lam=1e300, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "big.ini", text)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "too large" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_free_field_requires_no_modes(tmp_path):
+    # beta = gamma = 0: every mode is Regular, so any explicit range is complete
+    cfg = channels.ScatteringConfig(beta=0.0, gamma=0.0, p=1.0)
+    assert channels.nonregular_modes(cfg) == []
+    assert cfg.required_modes(channels.Sink()) == []
+    text = _scenario_text(beta=0.0, gamma=0.0, m_range="1:3", phi_samples=5, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "free.ini", text)]) == 0
 
 
 def test_outdir_precedence(tmp_path, monkeypatch):

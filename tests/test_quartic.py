@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsink import quartic
+from fluxsink import oracle, quartic
 from fluxsink.errors import ConfigError, FitDegenerateError
 from fluxsink.channels import Custom
 from fluxsink.quartic import (
@@ -35,6 +35,8 @@ def test_config_validation():
         QuarticConfig(beta=0.2, lam=1.0, p=-1.0)
     with pytest.raises(ConfigError):
         QuarticConfig(beta=0.2, lam=1.0, p=1.0, mass=0.0)
+    with pytest.raises(ConfigError, match="too large"):
+        QuarticConfig(beta=0.2, lam=1e300, p=1.0)  # start point overflows
     cfg = QuarticConfig(beta=0.2, lam=2.0, p=0.5)
     assert cfg.rho0 == pytest.approx(2.0)
     assert cfg.q == pytest.approx(1.0)
@@ -77,6 +79,10 @@ def test_mirror_matches_forward_fit():
     for q, m in ((0.3, 0), (1.0, 1), (10.0, 3)):
         cfg = QuarticConfig(beta=0.37, lam=q / 0.9, p=0.9)
         assert forward_fit_defect(cfg, m) <= 1e-6, (q, m)
+    # at this q, np.log and math.log put the window's top point and the
+    # integration end one bit apart
+    edge = QuarticConfig(beta=0.3, lam=4.8630569248448765, p=1.0)
+    assert forward_fit_defect(edge, 0) <= 1e-6
 
 
 def test_connection_cache_key():
@@ -98,6 +104,29 @@ def test_batch_matches_single_modes(monkeypatch):
         assert conn.nu == single.nu == abs(m - cfg.beta)
         s_batch, s_single = (t.entries[0, 0] / t.entries[1, 0] for t in (conn, single))
         assert abs(s_batch - s_single) <= 1e-8, m
+
+
+def test_inward_solve_work_follows_local_wavelength(monkeypatch):
+    # the step cap in v = sqrt(q) e^{|x|} follows the local wavelength, so
+    # the inward solve costs about (u0 - sqrt q) / cap DOP853 steps of 12
+    # RHS calls; a cap set by the fast end u0 needs about x0 times more
+    nfev = []
+    solve_ivp = oracle.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        res = solve_ivp(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(quartic, "_cache", {})
+    cfg = QuarticConfig(beta=0.3, lam=8.0, p=1.0)
+    tol = 1e-8
+    connection_matrices(cfg, range(-2, 3), tol)
+    cap = min(2.0 * math.pi / 20.0, 26.5 * tol**0.3)
+    steps = (quartic._start_w(cfg.q) - math.sqrt(cfg.q)) / cap
+    assert len(nfev) == 1
+    assert sum(nfev) <= 12 * 1.25 * steps  # 23,273 here
 
 
 def test_elastic_unitary_across_q():
