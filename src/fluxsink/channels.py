@@ -450,11 +450,6 @@ class ChannelSolution:
     _cfg: ScatteringConfig  # or a QuarticConfig; f_coeff reads beta and p
 
     @property
-    def c(self) -> complex:
-        """Single-solution coefficient for Regular modes (R = c J_mu)."""
-        return self.a + self.b
-
-    @property
     def delta(self) -> complex | None:
         """Phase shift with S = e^{2 i delta}; None when S = 0 (no phase)."""
         if self.s_matrix == 0:

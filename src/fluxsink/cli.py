@@ -3,16 +3,20 @@
 Subcommands
 -----------
 run <config> [--out DIR] [--format csv|json]
-    Solve every mode in the configured range and write three files into
-    the output directory: a per-mode table (``modes.csv`` or
-    ``modes.json``), a run summary (``summary.csv``/``summary.json``),
-    and, when the scenario requests angle samples, a two-column
-    ``differential.csv`` with phi vs d sigma/d phi ready for plotting.
+    Resolve the mode range (scenario.resolve_m_range: auto, or an
+    explicit range that covers every mode the potential requires), solve
+    those modes, and write into the output directory: the per-mode table
+    (``modes.csv`` or ``modes.json``), the run summary (``summary.csv``,
+    one key,value line each, or ``summary.json``, one object), and, when
+    the scenario requests angle samples, ``differential.csv`` with phi vs
+    d sigma/d phi ready for plotting (csv in either format).
 
-sweep <config> --vary name=start:stop:step [--vary ...] [--out DIR]
-    Cartesian product over the varied potential parameters; one summary
-    row (varied values + total absorption cross section) per grid point,
-    ordered by the flag order with the rightmost axis fastest.
+sweep <config> --vary name=start:stop:step [--vary ...] [--out DIR] [--format csv|json]
+    Cartesian product over the varied potential parameters.  Each grid
+    point resolves and solves its modes as run does and adds one row
+    (varied values + total absorption cross section) to ``sweep.csv`` or
+    ``sweep.json``, ordered by the flag order with the rightmost axis
+    fastest.
 
 certify [--strict]
     Self-check suite: Wronskian sweep, ODE residual sweep, closed-form
@@ -23,9 +27,12 @@ certify [--strict]
     --strict reruns the oracle at tolerance/100 and additionally requires
     the residuals to shrink.
 
-All floating-point output is printed with 17 significant digits, so a
-given input produces byte-identical files.  Exit codes: 0 success,
-1 usage or configuration error, 2 solver or any other unexpected error
+Every file goes through one writer.  csv prints floats with 17
+significant digits, under a header line except in the key,value
+summary; json holds ``{name: [row objects]}`` (the summary: one object)
+whose numbers are the same doubles, since 17 digits round-trip one.  A
+given input produces byte-identical files.  Exit codes: 0 success, 1
+usage or configuration error, 2 solver or any other unexpected error
 (one line on stderr, no traceback), 3 certification failure.
 """
 
@@ -56,32 +63,9 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# ---------------------------------------------------------------------
-# mode solving
-# ---------------------------------------------------------------------
-
-
-def _solve_modes(scn: scenario.Scenario, m_range: tuple) -> list:
-    """Solve every mode in [lo, hi], ascending; errors carry the mode index."""
-    lo, hi = int(m_range[0]), int(m_range[1])
-    if lo > hi:
-        raise ConfigError(f"empty mode range [{lo}, {hi}]")
-    return scn.potential.solve(range(lo, hi + 1), scn.model)
-
-
-def _check_coverage(scn: scenario.Scenario, m_range: tuple) -> None:
-    """An explicit range must still cover every mode the potential requires."""
-    lo, hi = int(m_range[0]), int(m_range[1])
-    pot = scn.potential
-    missing = [m for m in pot.required_modes(scn.model) if not lo <= m <= hi]
-    if missing:
-        raise ConfigError(
-            f"m_range [{lo}, {hi}] misses {pot.REQUIRED} {missing};"
-            " use m_range = auto"
-        )
-
-
 def _total_sigma(sols: list) -> float:
+    # a sequential loop on purpose: sum() compensates on Python >= 3.12,
+    # which would change the last digits of the written totals
     total = 0.0
     for sol in sorted(sols, key=lambda s: s.mode.m):
         total += sol.sigma_abs
@@ -101,129 +85,30 @@ def _model_label(model, pot) -> str:
     return type(model).__name__
 
 
-def _phi_grid(n: int) -> np.ndarray:
-    lo = 2.0 * channels.PHI_MIN
-    return np.linspace(lo, 2.0 * math.pi - lo, n)
-
-
-def _differential(scn: scenario.Scenario, sols: list, n: int):
-    grid = _phi_grid(n)
-    values = [abs(scn.potential.amplitude(sols, float(ph))) ** 2 for ph in grid]
-    return grid, values
-
-
 # ---------------------------------------------------------------------
-# output writers
+# output
 # ---------------------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
+    """Write ``name.csv`` or ``name.json``; returns the path.
 
-
-def _write_csv(path: str, header, rows) -> None:
-    # \n terminator and minimal quoting keep the bytes platform-independent
+    csv: the header line, then one line per row, floats as 17g text.
+    json: ``{name: [row objects]}`` with floats as numbers; 17g round-trips
+    a double, so both formats carry the same values.  With header None
+    the rows are (key, value) pairs: csv lines without a header, or one
+    flat JSON object.
+    """
+    path = os.path.join(out_dir, f"{name}.{fmt}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _mode_rows(sols: list) -> list:
-    rows = []
-    for sol in sols:
-        s = sol.s_matrix
-        rows.append(
-            (
-                sol.mode.m,
-                sol.mode.regime,
-                sol.mode.nu_squared,
-                sol.mode.mu,
-                s.real,
-                s.imag,
-                abs(s),
-                sol.sigma_abs,
-            )
-        )
-    return rows
-
-
-def _summary_pairs(scn: scenario.Scenario, m_range: tuple, total: float) -> list:
-    """(key, value) rows with native types; the writers format them."""
-    cfg = scn.potential
-    pairs = [
-        ("potential", cfg.KIND),
-        ("beta", cfg.beta),
-        (cfg.COUPLING, getattr(cfg, cfg.COUPLING)),
-    ]
-    pairs.extend(
-        [
-            ("p", cfg.p),
-            ("mass", cfg.mass),
-            ("model", _model_label(scn.model, cfg)),
-            ("m_lo", int(m_range[0])),
-            ("m_hi", int(m_range[1])),
-            ("phi_samples", scn.phi_samples),
-            ("sigma_total_abs", total),
-        ]
-    )
-    return pairs
-
-
-def _cell(value) -> str:
-    return _g17(value) if isinstance(value, float) else str(value)
-
-
-def _write_outputs(scn, out_dir: str, fmt: str, sols: list, m_range: tuple) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    total = _total_sigma(sols)
-    rows = _mode_rows(sols)
-    pairs = _summary_pairs(scn, m_range, total)
-    written = []
-
-    if fmt == "csv":
-        path = os.path.join(out_dir, "modes.csv")
-        _write_csv(
-            path,
-            MODE_COLUMNS,
-            ([str(row[0]), row[1]] + [_g17(v) for v in row[2:]] for row in rows),
-        )
-        written.append(path)
-
-        path = os.path.join(out_dir, "summary.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows((k, _cell(v)) for k, v in pairs)
-        written.append(path)
-    else:
-        # 17g round-trips doubles exactly, so the JSON numbers carry the
-        # same values as the csv text while staying machine-parseable.
-        objs = [
-            {k: (v if isinstance(v, (int, str)) else float(_g17(v))) for k, v in zip(MODE_COLUMNS, row)}
-            for row in rows
-        ]
-        path = os.path.join(out_dir, "modes.json")
-        _write_text(path, json.dumps({"modes": objs}, indent=2) + "\n")
-        written.append(path)
-
-        path = os.path.join(out_dir, "summary.json")
-        obj = {
-            k: (float(_g17(v)) if isinstance(v, float) else v) for k, v in pairs
-        }
-        _write_text(path, json.dumps(obj, indent=2) + "\n")
-        written.append(path)
-
-    if scn.phi_samples > 0:
-        grid, values = _differential(scn, sols, scn.phi_samples)
-        path = os.path.join(out_dir, "differential.csv")
-        _write_csv(
-            path,
-            ("phi", "dsigma_dphi"),
-            ((_g17(ph), _g17(v)) for ph, v in zip(grid, values)),
-        )
-        written.append(path)
-    return written
+        if fmt == "csv":
+            cells = [[_g17(v) if isinstance(v, float) else v for v in row] for row in rows]
+            # \n terminator and minimal quoting keep the bytes platform-independent
+            csv.writer(fh, lineterminator="\n").writerows(cells if header is None else [header, *cells])
+        else:
+            obj = dict(rows) if header is None else {name: [dict(zip(header, row)) for row in rows]}
+            fh.write(json.dumps(obj, indent=2) + "\n")
+    return path
 
 
 def _resolve_out_dir(flag_value, scn) -> str:
@@ -244,10 +129,37 @@ def run_scenario(scn: scenario.Scenario, out_dir: str, fmt: str) -> list:
     """Solve, aggregate, and write the three output files; returns paths."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r} (csv or json)")
-    m_range = scenario.resolve_m_range(scn)
-    _check_coverage(scn, m_range)
-    sols = _solve_modes(scn, m_range)
-    return _write_outputs(scn, out_dir, fmt, sols, m_range)
+    pot = scn.potential
+    lo, hi = scenario.resolve_m_range(scn)
+    sols = pot.solve(range(lo, hi + 1), scn.model)
+    os.makedirs(out_dir, exist_ok=True)
+    modes = [
+        (s.mode.m, s.mode.regime, s.mode.nu_squared, s.mode.mu,
+         s.s_matrix.real, s.s_matrix.imag, abs(s.s_matrix), s.sigma_abs)
+        for s in sols
+    ]
+    summary = [
+        ("potential", pot.KIND),
+        ("beta", pot.beta),
+        (pot.COUPLING, getattr(pot, pot.COUPLING)),
+        ("p", pot.p),
+        ("mass", pot.mass),
+        ("model", _model_label(scn.model, pot)),
+        ("m_lo", lo),
+        ("m_hi", hi),
+        ("phi_samples", scn.phi_samples),
+        ("sigma_total_abs", _total_sigma(sols)),
+    ]
+    written = [
+        _write_table(out_dir, "modes", fmt, MODE_COLUMNS, modes),
+        _write_table(out_dir, "summary", fmt, None, summary),
+    ]
+    if scn.phi_samples > 0:
+        edge = 2.0 * channels.PHI_MIN
+        grid = np.linspace(edge, 2.0 * math.pi - edge, scn.phi_samples)
+        rows = [(phi, abs(pot.amplitude(sols, float(phi))) ** 2) for phi in grid]
+        written.append(_write_table(out_dir, "differential", "csv", ("phi", "dsigma_dphi"), rows))
+    return written
 
 
 def _cmd_run(args) -> int:
@@ -303,24 +215,11 @@ def run_sweep(scn: scenario.Scenario, axes: list, out_dir: str, fmt: str) -> str
         except FluxsinkError as exc:
             point = ", ".join(f"{n}={_g17(v)}" for n, v in zip(names, combo))
             raise ConfigError(f"sweep point ({point}): {exc}") from exc
-        point_scn = dataclasses.replace(scn, potential=potential)
-        m_range = scenario.resolve_m_range(point_scn)
-        _check_coverage(point_scn, m_range)
-        sols = _solve_modes(point_scn, m_range)
-        rows.append(tuple(combo) + (_total_sigma(sols),))
+        lo, hi = scenario.resolve_m_range(dataclasses.replace(scn, potential=potential))
+        rows.append((*combo, _total_sigma(potential.solve(range(lo, hi + 1), scn.model))))
 
     os.makedirs(out_dir, exist_ok=True)
-    header = names + ["sigma_total_abs"]
-    if fmt == "csv":
-        path = os.path.join(out_dir, "sweep.csv")
-        _write_csv(path, header, (tuple(_g17(v) for v in row) for row in rows))
-    else:
-        objs = [
-            {k: float(_g17(v)) for k, v in zip(header, row)} for row in rows
-        ]
-        path = os.path.join(out_dir, "sweep.json")
-        _write_text(path, json.dumps({"sweep": objs}, indent=2) + "\n")
-    return path
+    return _write_table(out_dir, "sweep", fmt, names + ["sigma_total_abs"], rows)
 
 
 def _cmd_sweep(args) -> int:
@@ -339,19 +238,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _wronskian_worst(n_draws: int, rng: np.random.Generator) -> float:
-    # FLUXSINK_FAULT=wronskian stands in for a corrupted special-function
-    # build: it bumps every deviation by 1e-6 so the gate must go red.
-    # Test-only negative control; never set it in real use.
-    fault = os.environ.get("FLUXSINK_FAULT", "") == "wronskian"
     worst = 0.0
     for _ in range(n_draws):
         kind = "real" if rng.random() < 0.5 else "imaginary"
         mu = rng.uniform(0.05 if kind == "imaginary" else 0.0, 40.0)
         x = 10.0 ** rng.uniform(-3.0, 4.0)
-        dev = specfun.wronskian_check(specfun.Order(kind, mu), x)
-        if fault:
-            dev += 1e-6
-        worst = max(worst, dev)
+        worst = max(worst, specfun.wronskian_check(specfun.Order(kind, mu), x))
     return worst
 
 

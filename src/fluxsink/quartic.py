@@ -75,6 +75,10 @@ REGIME_QUARTIC = "Quartic"
 FIT_U = (60.0, 120.0)  # wave-fit window of the checks; FIT_U[0] also bounds the start
 _POINTS_PER_WAVELENGTH = 40
 _START_BIAS = 1e-9
+# Largest coupling q = p lam accepted.  The inward solve's work grows like
+# q^0.4 (a 21-mode run takes seconds at q = 1e4), and past q ~ 4e18 the
+# start point _start_w(q) falls below sqrt(q), i.e. on the wrong side of x = 0.
+Q_MAX = 1e4
 _CACHE_SIZE = 128
 _cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first
 
@@ -104,8 +108,8 @@ class QuarticConfig:
             raise ConfigError(f"p must be positive, got {self.p}")
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ConfigError(f"mass must be positive, got {self.mass}")
-        if not math.isfinite(_start_w(self.q)):
-            raise ConfigError(f"q = p*lam = {self.q:g} is too large: the inward start point overflows")
+        if self.q > Q_MAX:
+            raise ConfigError(f"q = p*lam = {self.q:g} is too large (supported: q <= {Q_MAX:g})")
 
     @property
     def rho0(self) -> float:

@@ -249,10 +249,22 @@ def write_scenario(scenario: Scenario, path: str) -> None:
 
 
 def resolve_m_range(scenario: Scenario) -> tuple:
-    """Concrete (lo, hi): auto covers the required modes plus a 10-mode margin."""
-    if scenario.m_range is not None:
-        return scenario.m_range
-    modes = scenario.potential.required_modes(scenario.model)
-    if not modes:
-        return (-10, 10)
-    return (min(modes) - 10, max(modes) + 10)
+    """The checked (lo, hi) a run solves.
+
+    auto covers the modes the potential requires plus a 10-mode margin
+    on each side (-10..10 when none is required); an explicit range must
+    cover those modes itself and must not be empty (ConfigError).
+    """
+    pot = scenario.potential
+    required = pot.required_modes(scenario.model)
+    if scenario.m_range is None:
+        return (min(required, default=0) - 10, max(required, default=0) + 10)
+    lo, hi = int(scenario.m_range[0]), int(scenario.m_range[1])
+    missing = [m for m in required if not lo <= m <= hi]
+    if missing:
+        raise ConfigError(
+            f"m_range [{lo}, {hi}] misses {pot.REQUIRED} {missing}; use m_range = auto"
+        )
+    if lo > hi:
+        raise ConfigError(f"empty mode range [{lo}, {hi}]")
+    return (lo, hi)

@@ -296,23 +296,19 @@ def _hankel_asym_imag(mu: float, x: float) -> tuple[complex, complex, complex, c
             f"asymptotic expansion bottoms out at {abs(terms[k_min]):.2e} "
             f"for mu={mu}, x={x}"
         )
-    # sum through the smallest term in extended precision
+    # sum through the smallest term in extended precision; the a_k are
+    # real, so the H2 series is the exact conjugate of the H1 series
     s1 = np.clongdouble(1) + np.clongdouble(0) * 1j
-    s2 = np.clongdouble(1) + np.clongdouble(0) * 1j
     d1 = np.clongdouble(0) + np.clongdouble(0) * 1j
-    d2 = np.clongdouble(0) + np.clongdouble(0) * 1j
     ik = complex(1.0)
     for k in range(1, k_min + 1):
         ik *= 1j
         t1 = np.clongdouble(ik.real) + np.clongdouble(ik.imag) * 1j
-        t2 = np.clongdouble(ik.real) - np.clongdouble(ik.imag) * 1j
         ak = np.clongdouble(terms[k])
         s1 = s1 + t1 * ak
-        s2 = s2 + t2 * ak
         d1 = d1 - t1 * ak * np.clongdouble(k / x)
-        d2 = d2 - t2 * ak * np.clongdouble(k / x)
-    S1, S2 = complex(s1), complex(s2)
-    S1d, S2d = complex(d1), complex(d2)
+    S1, S1d = complex(s1), complex(d1)
+    S2, S2d = S1.conjugate(), S1d.conjugate()
     pref = math.sqrt(2.0 / (math.pi * x))
     # e^{i omega} = e^{i(x - pi/4)} e^{mu pi / 2}
     ph = cmath.exp(1j * (x - 0.25 * math.pi))

@@ -159,6 +159,101 @@ def test_golden_files(tmp_path):
     assert (tmp_path / "out" / "summary.csv").read_text() == GOLDEN_SUMMARY
 
 
+GOLDEN_MODES_JSON = """\
+{
+  "modes": [
+    {
+      "m": -2,
+      "regime": "Regular",
+      "nu_squared": 5.0625,
+      "mu": 2.25,
+      "re_s": 0.7071067811865472,
+      "im_s": -0.7071067811865478,
+      "abs_s": 1.0,
+      "sigma_abs": 0.0
+    },
+    {
+      "m": -1,
+      "regime": "Regular",
+      "nu_squared": 1.5625,
+      "mu": 1.25,
+      "re_s": 0.7071067811865477,
+      "im_s": -0.7071067811865474,
+      "abs_s": 1.0,
+      "sigma_abs": 0.0
+    },
+    {
+      "m": 0,
+      "regime": "Subcritical",
+      "nu_squared": 0.0625,
+      "mu": 0.25,
+      "re_s": 0.0,
+      "im_s": 0.0,
+      "abs_s": 0.0,
+      "sigma_abs": 0.5
+    },
+    {
+      "m": 1,
+      "regime": "Subcritical",
+      "nu_squared": 0.5625,
+      "mu": 0.75,
+      "re_s": 0.0,
+      "im_s": 0.0,
+      "abs_s": 0.0,
+      "sigma_abs": 0.5
+    },
+    {
+      "m": 2,
+      "regime": "Regular",
+      "nu_squared": 3.0625,
+      "mu": 1.75,
+      "re_s": 0.7071067811865476,
+      "im_s": 0.7071067811865475,
+      "abs_s": 1.0,
+      "sigma_abs": 0.0
+    },
+    {
+      "m": 3,
+      "regime": "Regular",
+      "nu_squared": 7.5625,
+      "mu": 2.75,
+      "re_s": 0.7071067811865476,
+      "im_s": 0.7071067811865475,
+      "abs_s": 1.0,
+      "sigma_abs": 0.0
+    }
+  ]
+}
+"""
+
+GOLDEN_SUMMARY_JSON = """\
+{
+  "potential": "inverse_square",
+  "beta": 0.25,
+  "gamma": 0.0,
+  "p": 2.0,
+  "mass": 0.5,
+  "model": "total_absorption(window=[0, 1])",
+  "m_lo": -2,
+  "m_hi": 3,
+  "phi_samples": 0,
+  "sigma_total_abs": 1.0
+}
+"""
+
+
+def test_golden_json_files(tmp_path):
+    # the golden scenario above, written as JSON: pins the JSON layout too
+    text = _scenario_text(
+        beta=0.25, gamma=0.0, p=2.0,
+        model="kind = total_absorption\nn_minus = 0\nn_plus = 1",
+        m_range="-2:3", fmt="json", path=str(tmp_path / "out"),
+    )
+    assert cli.main(["run", _write(tmp_path, "gj.ini", text)]) == 0
+    assert (tmp_path / "out" / "modes.json").read_text() == GOLDEN_MODES_JSON
+    assert (tmp_path / "out" / "summary.json").read_text() == GOLDEN_SUMMARY_JSON
+
+
 def test_run_byte_determinism(tmp_path):
     text = _scenario_text(phi_samples=7)
     cfgp = _write(tmp_path, "d.ini", text)
@@ -379,6 +474,16 @@ def test_huge_quartic_coupling_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_past_quartic_bound_is_config_error(tmp_path, capsys):
+    # the first point solves, the second lies past q = 1e4 and is refused
+    text = _scenario_text(kind="inverse_quartic", lam=1.0, m_range="0:0", path=str(tmp_path / "out"))
+    args = ["sweep", _write(tmp_path, "qs.ini", text), "--vary", "lam=1:20001:20000"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "sweep point (lam=20001)" in err and "too large" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_free_field_requires_no_modes(tmp_path):
     # beta = gamma = 0: every mode is Regular, so any explicit range is complete
     cfg = channels.ScatteringConfig(beta=0.0, gamma=0.0, p=1.0)
@@ -438,6 +543,52 @@ def test_sweep_product_order_and_values(tmp_path):
     assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (tmp_path / "s2" / "sweep.csv").read_bytes()
 
 
+GOLDEN_SWEEP = {
+    "csv": """\
+beta,gamma,sigma_total_abs
+0.10000000000000001,0.5,0.95395423990955719
+0.10000000000000001,0.69999999999999996,0.98713337428764503
+0.20000000000000001,0.5,0.94382689680941201
+0.20000000000000001,0.69999999999999996,0.98522603603003145
+""",
+    "json": """\
+{
+  "sweep": [
+    {
+      "beta": 0.1,
+      "gamma": 0.5,
+      "sigma_total_abs": 0.9539542399095572
+    },
+    {
+      "beta": 0.1,
+      "gamma": 0.7,
+      "sigma_total_abs": 0.987133374287645
+    },
+    {
+      "beta": 0.2,
+      "gamma": 0.5,
+      "sigma_total_abs": 0.943826896809412
+    },
+    {
+      "beta": 0.2,
+      "gamma": 0.7,
+      "sigma_total_abs": 0.9852260360300314
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_golden_files(tmp_path, fmt):
+    # 2 x 2 sink sweep over closed-form modes, byte-for-byte in both formats
+    cfgp = _write(tmp_path, "sg.ini", _scenario_text())
+    args = ["sweep", cfgp, "--vary", "beta=0.1:0.2:0.1", "--vary", "gamma=0.5:0.7:0.2"]
+    assert cli.main(args + ["--out", str(tmp_path / "out"), "--format", fmt]) == 0
+    assert (tmp_path / "out" / f"sweep.{fmt}").read_text() == GOLDEN_SWEEP[fmt]
+
+
 def test_sweep_rejects_bad_axes(tmp_path, capsys):
     cfgp = _write(tmp_path, "sw.ini", _scenario_text())
     assert cli.main(["sweep", cfgp, "--vary", "beta=0:0.5"]) == 1
@@ -470,7 +621,10 @@ def test_certify_strict_shrinks_residuals():
 
 
 def test_certify_fault_injection(monkeypatch):
-    monkeypatch.setenv("FLUXSINK_FAULT", "wronskian")
+    # a corrupted special-function build: every Wronskian deviation grows
+    # by 1e-6, so the gate must go red
+    check = cli.specfun.wronskian_check
+    monkeypatch.setattr(cli.specfun, "wronskian_check", lambda order, x: check(order, x) + 1e-6)
     buf = io.StringIO()
     assert cli.certify(stream=buf) == 3
     wrons = [ln for ln in buf.getvalue().splitlines() if "wronskian-sweep" in ln]

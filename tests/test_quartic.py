@@ -37,6 +37,10 @@ def test_config_validation():
         QuarticConfig(beta=0.2, lam=1.0, p=1.0, mass=0.0)
     with pytest.raises(ConfigError, match="too large"):
         QuarticConfig(beta=0.2, lam=1e300, p=1.0)  # start point overflows
+    assert QuarticConfig(beta=0.2, lam=1e4, p=1.0).q == quartic.Q_MAX  # the bound itself is accepted
+    for lam in (1.01e4, 1e20):  # 1e20: the start point would lie inside x = 0
+        with pytest.raises(ConfigError, match="too large"):
+            QuarticConfig(beta=0.2, lam=lam, p=1.0)
     cfg = QuarticConfig(beta=0.2, lam=2.0, p=0.5)
     assert cfg.rho0 == pytest.approx(2.0)
     assert cfg.q == pytest.approx(1.0)
