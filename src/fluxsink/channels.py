@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -79,6 +80,10 @@ PHI_MIN = 1e-3
 # half-width of the critical bands treated as degenerate
 REGIME_EPS = 1e-9
 
+# largest core strength: supercritical orders mu <= gamma need e^(-pi mu)
+# to stay a normal double, i.e. gamma <= -ln(float_min)/pi ~ 225.49
+GAMMA_MAX = -math.log(sys.float_info.min) / math.pi
+
 
 class Regime:
     REGULAR = "Regular"
@@ -111,6 +116,8 @@ class ScatteringConfig:
             raise ConfigError(f"beta={self.beta} outside [0, 1)")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ConfigError(f"gamma={self.gamma} must be finite and >= 0")
+        if self.gamma > GAMMA_MAX:
+            raise ConfigError(f"gamma={self.gamma} above {GAMMA_MAX:.4f} (e^(-pi gamma) subnormal)")
         if not (math.isfinite(self.p) and self.p > 0.0):
             raise ConfigError(f"p={self.p} must be finite and > 0")
         if not (math.isfinite(self.mass) and self.mass > 0.0):

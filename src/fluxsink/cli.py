@@ -56,6 +56,9 @@ from .errors import ConfigError, FluxsinkError
 __all__ = ["main", "run_scenario", "certify", "run_sweep"]
 
 
+# points per --vary axis; at ~70 inverse-square points/s 1e6 already take ~4 h
+AXIS_POINTS_MAX = 10**6
+
 MODE_COLUMNS = ("m", "regime", "nu_squared", "mu", "re_s", "im_s", "abs_s", "sigma_abs")
 
 
@@ -186,10 +189,14 @@ def _parse_vary(raw: str) -> tuple:
         start, stop, step = (float(t) for t in parts)
     except ValueError as exc:
         raise ConfigError(f"--vary {raw!r}: bounds must be numbers") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"--vary {raw!r}: start, stop and step must be finite")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"--vary {raw!r}: need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1.0 + 1e-9))
-    values = [start + k * step for k in range(count)]
+    count = (stop - start) / step + 1.0 + 1e-9  # inf if stop - start overflows
+    if count >= AXIS_POINTS_MAX + 1:
+        raise ConfigError(f"--vary {raw!r}: more than {AXIS_POINTS_MAX} points")
+    values = [start + k * step for k in range(math.floor(count))]
     return name, values
 
 

@@ -6,14 +6,14 @@ The radial problems in this package reduce to Bessel's equation
 
 with nu^2 of either sign.  For nu^2 >= 0 (order nu = mu real) every mature
 library applies and we delegate to scipy's AMOS bindings.  For nu^2 < 0
-(order nu = i*mu, mu > 0) there is no scipy support, so J_{i mu} and the
-Hankel pair are evaluated here from scratch:
+(order nu = i*mu, mu > 0) scipy has no support; J_{i mu} and the Hankel
+pair are routed by region:
 
 * ``x <= 14``: ascending power series accumulated in 80-bit extended
   precision.  The alternating sum loses ~e^x of headroom, so 14 keeps at
   least 12 good digits.
-* ``14 < x < max(30, 10*mu)``: the same series in arbitrary precision
-  (mpmath), with the working precision scaled to absorb the cancellation.
+* ``14 < x < max(30, 10*mu)``: ``mpmath.besselj`` at 20 digits; mpmath
+  raises its working precision itself to absorb the cancellation.
 * ``x >= max(30, 10*mu)``: Hankel's large-argument expansion.  At
   x = 10*mu the smallest term is below ~1e-12 for every mu <= 50.
 
@@ -57,42 +57,25 @@ _SERIES_FAST_EDGE = 14.0
 
 
 # =====================================================================
-# complex gamma (Lanczos)
+# complex gamma
 # =====================================================================
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 _POLE_TOL = 1e-14
 
 
 def complex_gamma(z: complex) -> complex:
-    """Gamma(z) for complex z via the 15-term Lanczos approximation.
+    """Gamma(z) for complex z (scipy.special.gamma).
 
-    Relative error is below 1e-13 for |z| <= 50 (validated against an
-    arbitrary-precision reference).  The left half plane goes through the
-    reflection formula Gamma(z) Gamma(1-z) = pi / sin(pi z).
+    Against a 40-digit mpmath reference the relative error is below 6e-14
+    for |z| <= 51 and below 4e-13 on the line 1 +- i mu for mu <= 240,
+    which covers every Gamma(1 +- i mu) a scattering run forms.
 
     Raises
     ------
     PoleError
-        If z is a non-positive real integer within 1e-14.
+        If z is a non-positive real integer within 1e-14 (scipy gives NaN).
+    RangeError
+        If z or Gamma(z) is not finite.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -103,18 +86,9 @@ def complex_gamma(z: complex) -> complex:
         and abs(z.real - round(z.real)) <= _POLE_TOL
     ):
         raise PoleError(f"gamma pole at z = {z!r}")
-    return _lanczos(z)
-
-
-def _lanczos(z: complex) -> complex:
-    if z.real < 0.5:
-        # sin(pi z) overflows only for |Im z| >~ 225, far outside the box
-        return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * acc
+    g = complex(_sp.gamma(z))
+    _check_finite("complex_gamma", g)
+    return g
 
 
 # =====================================================================
@@ -206,37 +180,15 @@ def _series_imag_fast(mu: float, x: float) -> tuple[complex, complex]:
     return val, der
 
 
-def _series_imag_mp(mu: float, x: float) -> tuple[complex, complex]:
-    """Same series in arbitrary precision for the cancellation-heavy zone."""
-    dps = 30 + int(0.45 * x)
-    with mp.workdps(dps):
-        half = mp.mpf(x) / 2
-        nu = mp.mpc(0, mu)
-        c0 = mp.power(half, nu) / mp.gamma(1 + nu)
-        q = half * half
-        term = mp.mpc(1)
-        s_val = mp.mpc(1)
-        s_der = nu  # (2k + i mu) at k = 0
-        k = 0
-        limit = mp.mpf(10) ** (-(dps - 8))
-        while True:
-            k += 1
-            term = term * (-q) / (k * (k + nu))
-            s_val += term
-            s_der += term * (2 * k + nu)
-            if abs(term) < limit * max(abs(s_val), mp.mpf("1e-300")):
-                break
-            if k > 20000:
-                raise RangeError("imaginary-order series failed to converge")
-        val = c0 * s_val
-        der = c0 * s_der / x
-        return complex(val), complex(der)
-
-
 def _j_imag_series(mu: float, x: float) -> tuple[complex, complex]:
+    """(J_{i mu}(x), J'_{i mu}(x)) below the asymptotic edge."""
     if x <= _SERIES_FAST_EDGE:
         return _series_imag_fast(mu, x)
-    return _series_imag_mp(mu, x)
+    # mpmath raises its working precision itself to absorb the ~e^x
+    # cancellation; at 17 digits a few results differ in the last bit
+    with mp.workdps(20):
+        nu = mp.mpc(0, mu)
+        return complex(mp.besselj(nu, x)), complex(mp.besselj(nu, x, derivative=1))
 
 
 def _hankel_from_j_imag(

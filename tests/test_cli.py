@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fluxsink import channels, cli, oracle, quartic, scenario
+from fluxsink import channels, cli, oracle, quartic, scenario, specfun
 from fluxsink.errors import ConfigError
 
 
@@ -268,7 +268,7 @@ def test_json_matches_csv(tmp_path):
     cfgp = _write(tmp_path, "j.ini", text)
     assert cli.main(["run", cfgp, "--out", str(tmp_path / "oc"), "--format", "csv"]) == 0
     assert cli.main(["run", cfgp, "--out", str(tmp_path / "oj"), "--format", "json"]) == 0
-    modes = json.load(open(tmp_path / "oj" / "modes.json"))["modes"]
+    modes = json.loads((tmp_path / "oj" / "modes.json").read_text())["modes"]
     csv_rows = (tmp_path / "oc" / "modes.csv").read_text().splitlines()[1:]
     assert [tuple(o) for o in modes] == [cli.MODE_COLUMNS] * len(modes)
     for obj, row in zip(modes, csv_rows):
@@ -276,7 +276,7 @@ def test_json_matches_csv(tmp_path):
         assert obj["m"] == int(cells[0]) and obj["regime"] == cells[1]
         for key, cell in zip(cli.MODE_COLUMNS[2:], cells[2:]):
             assert obj[key] == float(cell)
-    summary = json.load(open(tmp_path / "oj" / "summary.json"))
+    summary = json.loads((tmp_path / "oj" / "summary.json").read_text())
     assert isinstance(summary["sigma_total_abs"], float)
     assert summary["m_lo"] == -10 and summary["phi_samples"] == 0
 
@@ -484,6 +484,47 @@ def test_sweep_past_quartic_bound_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model", ["kind = sink", "kind = elastic"], ids=["sink", "elastic"])
+def test_gamma_just_below_bound_runs(tmp_path, model):
+    text = _scenario_text(gamma=225, model=model, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "g.ini", text)]) == 0
+    for row in (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]:
+        assert all(math.isfinite(float(c)) for c in row.split(",")[2:])
+
+
+def test_gamma_past_bound_is_config_error(tmp_path, capsys):
+    # past gamma = -ln(float_min)/pi, e^(-pi mu) of the top modes is subnormal
+    for gamma in (226, 1e3):
+        text = _scenario_text(gamma=gamma, path=str(tmp_path / "out"))
+        assert cli.main(["run", _write(tmp_path, "g.ini", text)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "225.4896" in err
+    args = ["sweep", _write(tmp_path, "gs.ini", _scenario_text(path=str(tmp_path / "out")))]
+    assert cli.main(args + ["--vary", "gamma=225:226:1"]) == 1
+    assert "sweep point (gamma=226)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model", ["kind = sink", "kind = elastic\ntheta = 0.7"], ids=["sink", "elastic"]
+)
+def test_large_gamma_run_needs_only_gamma_function(tmp_path, monkeypatch, model):
+    # gamma = 60 puts orders up to mu = 60 past specfun's |order| <= ORDER_MAX
+    # box; a run reaches them through complex_gamma alone, never the Bessel
+    # or Hankel evaluators, wherever a module binds them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run must not evaluate Bessel or Hankel functions")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("fluxsink")]:
+        for name in ("bessel_j_pair", "hankel_pair"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    text = _scenario_text(gamma=60, model=model, phi_samples=7, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "g60.ini", text)]) == 0
+    rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
+    assert max(float(r.split(",")[3]) for r in rows) > specfun.ORDER_MAX
+
+
 def test_free_field_requires_no_modes(tmp_path):
     # beta = gamma = 0: every mode is Regular, so any explicit range is complete
     cfg = channels.ScatteringConfig(beta=0.0, gamma=0.0, p=1.0)
@@ -595,6 +636,9 @@ def test_sweep_rejects_bad_axes(tmp_path, capsys):
     assert cli.main(["sweep", cfgp, "--vary", "lam=1:2:1"]) == 1
     assert cli.main(["sweep", cfgp, "--vary", "beta=0:0.5:0.1", "--vary", "beta=0:0.5:0.1"]) == 1
     assert cli.main(["sweep", cfgp]) == 1  # --vary is required
+    for grid in ("beta=nan:0.5:0.1", "beta=0:0.5:nan", "beta=0:inf:0.1", "gamma=0.1:0.2:inf"):
+        assert cli.main(["sweep", cfgp, "--vary", grid]) == 1
+    assert cli.main(["sweep", cfgp, "--vary", "beta=0:1e12:1"]) == 1  # 1e12 points
     capsys.readouterr()
 
 

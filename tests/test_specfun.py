@@ -1,8 +1,11 @@
 """Checks for the Bessel/Hankel evaluation core.
 
 Reference values were computed independently with arbitrary-precision
-series summation at 40-digit working precision and frozen here; property
-sweeps (Wronskian, ODE residual, conjugation) are seeded and deterministic.
+series summation at 40-digit working precision (the two J_{i mu} cases at
+x = 300 and 480 at 195 and 276 digits, enough for the series' e^x
+cancellation) and Gamma with mpmath at 40 digits, and frozen here;
+property sweeps (Wronskian, ODE residual, conjugation) are seeded and
+deterministic.
 """
 
 import cmath
@@ -37,6 +40,9 @@ GAMMA_CASES = [
     (12.3 - 4.2j, -20719338.67543967909129962 + 34335660.10490323305781624j),
     (40 + 30j, 5.377775040836147289244342e41 - 1.778268311904907633085571e41j),
     (1 + 0.4j, 0.8633791138852647059997604 - 0.1814571258151967679792896j),
+    # the largest Gamma(1 +- i mu) a run forms, near the gamma bound
+    (1 + 200j, 1.216561959676046939907386e-135 - 4.4123123310187777958579e-136j),
+    (1 - 225j, -1.130371261008182840169737e-153 - 1.204865278291956462128462e-152j),
 ]
 
 # (kind, mu, x, value); imaginary-order cases cover all three evaluation
@@ -50,6 +56,16 @@ BESSEL_J_CASES = [
     ("imaginary", 1.3, 20.0, 0.6634761277587999812831701 + 0.2101869591690190209987604j),
     ("imaginary", 6.0, 45.0, 723.1332124799221922625634 - 123.9659078820655222360477j),
     ("imaginary", 2.0, 50.0, 0.6007741429235064085346354 - 1.156926243907173104986187j),
+    # high-cancellation end of the arbitrary-precision region
+    ("imaginary", 40.0, 300.0, 1.436643302218283513058649e25 + 4.207420219311449482694361e25j),
+    ("imaginary", 50.0, 480.0, 1.434706867368038858119014e32 - 1.843870694789150963901129e32j),
+]
+
+# (mu, x, dJ_{i mu}/dx), same reference computation
+BESSEL_J_DERIVATIVE_CASES = [
+    (0.4, 2.0, -0.6916068924683570536279341 + 0.0898131172445403979301616j),
+    (40.0, 300.0, -4.247012523179962427322773e25 + 1.442469115812702764349505e25j),
+    (50.0, 480.0, 1.852369831846493965937306e32 + 1.444370453633953077430148e32j),
 ]
 
 HANKEL_CASES = [
@@ -90,9 +106,9 @@ def test_bessel_j_frozen(kind, mu, x, want):
 
 
 def test_bessel_j_derivative_frozen():
-    got = bessel_j_pair(Order.imaginary(0.4), 2.0)[1]
-    want = -0.6916068924683570536279341 + 0.0898131172445403979301616j
-    assert rel(got, want) < 1e-11
+    for mu, x, want in BESSEL_J_DERIVATIVE_CASES:
+        got = bessel_j_pair(Order.imaginary(mu), x)[1]
+        assert rel(got, want) < 1e-11
 
 
 @pytest.mark.parametrize("kind,okind,mu,x,want", HANKEL_CASES)
