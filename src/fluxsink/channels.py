@@ -153,6 +153,13 @@ class PartialMode:
 # ---------------------------------------------------------------------
 
 
+def _require_finite(**params) -> None:
+    """ConfigError naming the first non-finite boundary-model parameter."""
+    for name, value in params.items():
+        if not cmath.isfinite(value):
+            raise ConfigError(f"{name}={value} must be finite")
+
+
 @dataclass(frozen=True, kw_only=True)
 class Elastic:
     """Self-adjoint condition on every non-Regular mode, whatever its regime.
@@ -167,6 +174,9 @@ class Elastic:
     l: float = 0.0
     theta: float = 0.0
 
+    def __post_init__(self) -> None:
+        _require_finite(l=self.l, theta=self.theta)
+
 
 @dataclass(frozen=True)
 class ElasticSubcritical:
@@ -177,12 +187,18 @@ class ElasticSubcritical:
 
     l: float = 0.0
 
+    def __post_init__(self) -> None:
+        _require_finite(l=self.l)
+
 
 @dataclass(frozen=True)
 class ElasticSupercritical:
     """Reflecting core phase: R -> B(rho^{i mu} + e^{i theta} rho^{-i mu})."""
 
     theta: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(theta=self.theta)
 
 
 @dataclass(frozen=True)
@@ -221,6 +237,9 @@ class Custom:
     """Explicit a_m / b_m per non-Regular mode; |S_m| <= 1 enforced."""
 
     ratios: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _require_finite(**{f"ratio_{m}": r for m, r in self.ratios.items()})
 
     def value(self, m: int) -> complex:
         if m not in self.ratios:
@@ -426,7 +445,7 @@ def solve_channel(
         s = cmath.exp(1j * math.pi * mode.m) * math.exp(math.pi * mu) * r
 
     mod = abs(s)
-    if mod > 1.0 + 1e-12:
+    if not mod <= 1.0 + 1e-12:  # NaN fails too
         raise UnitarityViolation(
             f"|S|={mod} > 1 for mode m={mode.m} (ratio {r})"
         )

@@ -56,8 +56,8 @@ from .errors import ConfigError, FluxsinkError
 __all__ = ["main", "run_scenario", "certify", "run_sweep"]
 
 
-# points per --vary axis; at ~70 inverse-square points/s 1e6 already take ~4 h
-AXIS_POINTS_MAX = 10**6
+# points per --vary axis and per sweep grid (~4 h at ~70 inverse-square points/s)
+GRID_POINTS_MAX = 10**6
 
 MODE_COLUMNS = ("m", "regime", "nu_squared", "mu", "re_s", "im_s", "abs_s", "sigma_abs")
 
@@ -115,12 +115,7 @@ def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
 
 
 def _resolve_out_dir(flag_value, scn) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get("FLUXSINK_OUTDIR")
-    if env:
-        return env
-    return scn.out_path
+    return flag_value or os.environ.get("FLUXSINK_OUTDIR") or scn.out_path
 
 
 # ---------------------------------------------------------------------
@@ -194,8 +189,8 @@ def _parse_vary(raw: str) -> tuple:
     if step <= 0.0 or stop < start:
         raise ConfigError(f"--vary {raw!r}: need step > 0 and stop >= start")
     count = (stop - start) / step + 1.0 + 1e-9  # inf if stop - start overflows
-    if count >= AXIS_POINTS_MAX + 1:
-        raise ConfigError(f"--vary {raw!r}: more than {AXIS_POINTS_MAX} points")
+    if count >= GRID_POINTS_MAX + 1:
+        raise ConfigError(f"--vary {raw!r}: more than {GRID_POINTS_MAX} points")
     values = [start + k * step for k in range(math.floor(count))]
     return name, values
 
@@ -214,6 +209,8 @@ def run_sweep(scn: scenario.Scenario, axes: list, out_dir: str, fmt: str) -> str
             )
     if len(set(names)) != len(names):
         raise ConfigError("--vary repeats a parameter name")
+    if math.prod(len(values) for _, values in axes) > GRID_POINTS_MAX:
+        raise ConfigError(f"--vary: the sweep grid has more than {GRID_POINTS_MAX} points")
 
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):

@@ -96,14 +96,13 @@ def _order_of(mode: PartialMode) -> Order:
 
 
 def _j_neg_pair(order: Order, x: float) -> tuple[complex, complex]:
-    """(J_{-nu}, J'_{-nu}) from the Hankel pair (real nu) or conjugation."""
+    """(J_{-nu}, J'_{-nu}) from H1 (real nu, H2 = conj H1) or conjugation."""
     if order.kind == "imaginary":
         v, d = bessel_j_pair(order, x)
         return v.conjugate(), d.conjugate()
-    h1, h1d = hankel_pair(1, order, x)
-    h2, h2d = hankel_pair(2, order, x)
+    h, hd = hankel_pair(1, order, x)
     ph = cmath.exp(1j * math.pi * order.mu)
-    return 0.5 * (ph * h1 + h2 / ph), 0.5 * (ph * h1d + h2d / ph)
+    return 0.5 * (ph * h + h.conjugate() / ph), 0.5 * (ph * hd + hd.conjugate() / ph)
 
 
 def _power_normalized_pair(
@@ -139,24 +138,18 @@ def init_for_model(
     large-rho bookkeeping.
     """
     action, param = _resolve(model, mode)
-    x = cfg.p * rho
+    order, x = _order_of(mode), cfg.p * rho
     if action == "regular":
-        g, gd = _power_normalized_pair(cfg, mode, rho, +1)
-        return g, gd
+        return _power_normalized_pair(cfg, mode, rho, +1)
     if action == "sink":
-        order = _order_of(mode)
         j, jd = bessel_j_pair(order, x)
         return j.conjugate(), cfg.p * jd.conjugate()
-    if action == "elastic_sub":
+    if action in ("elastic_sub", "elastic_super"):
+        # R = g+ + c g-, c = l (subcritical) or e^{i theta} (supercritical)
+        c = param if action == "elastic_sub" else cmath.exp(1j * param)
         gp, gpd = _power_normalized_pair(cfg, mode, rho, +1)
         gm, gmd = _power_normalized_pair(cfg, mode, rho, -1)
-        return gp + param * gm, gpd + param * gmd
-    if action == "elastic_super":
-        gp, gpd = _power_normalized_pair(cfg, mode, rho, +1)
-        gm, gmd = _power_normalized_pair(cfg, mode, rho, -1)
-        ph = cmath.exp(1j * param)
-        return gp + ph * gm, gpd + ph * gmd
-    order = _order_of(mode)
+        return gp + c * gm, gpd + c * gmd
     h2, h2d = hankel_pair(2, order, x)
     if action == "total":
         return h2, cfg.p * h2d
@@ -300,8 +293,11 @@ def match_small_rho(profile: RadialProfile, mode: PartialMode, cfg: ScatteringCo
     return a, b
 
 
-def _wave_dressing(nu_squared: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k (+i)^k a_k x^{-k} and its (-i)^k partner, truncated at min term."""
+def _wave_dressing(nu_squared: float, x: np.ndarray) -> np.ndarray:
+    """sum_k i^k a_k x^{-k}, truncated at the min term.
+
+    The a_k are real, so the ingoing (-i)^k series is its exact conjugate.
+    """
     terms = [np.ones_like(x)]
     a_k = 1.0
     mags = [1.0]
@@ -318,14 +314,12 @@ def _wave_dressing(nu_squared: float, x: np.ndarray) -> tuple[np.ndarray, np.nda
             f"wave-basis correction series bottoms out at {mags[k_min]:.2e}; "
             "order too large for the fit window"
         )
-    s_plus = np.zeros_like(x, dtype=complex)
-    s_minus = np.zeros_like(x, dtype=complex)
+    s = np.zeros_like(x, dtype=complex)
     ik = 1.0 + 0.0j
     for k in range(k_min + 1):
-        s_plus = s_plus + ik * terms[k]
-        s_minus = s_minus + np.conj(ik) * terms[k]
+        s = s + ik * terms[k]
         ik *= 1j
-    return s_plus, s_minus
+    return s
 
 
 def match_large_rho(
@@ -350,11 +344,9 @@ def match_large_rho(
         )
     r = rho[sel]
     x = cfg.p * r
-    s_plus, s_minus = _wave_dressing(mode.nu_squared, x)
     phase = np.exp(1j * (x - 0.25 * math.pi))
-    g_out = phase * s_plus / np.sqrt(r)
-    g_in = np.conj(phase) * s_minus / np.sqrt(r)
-    c_in, c_out, resid = _lstsq_two_column(g_in, g_out, profile.values[sel])
+    g_out = phase * _wave_dressing(mode.nu_squared, x) / np.sqrt(r)
+    c_in, c_out, resid = _lstsq_two_column(np.conj(g_out), g_out, profile.values[sel])
     if resid > 1e-6:
         raise FitDegenerateError(f"large-rho fit residual {resid:.2e} exceeds 1e-6")
     return c_in, c_out

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import h1vp, hankel1, hankel2
+from scipy.special import h1vp, hankel1
 
 from .channels import (
     ChannelSolution,
@@ -203,11 +203,10 @@ def _start_w(q: float) -> float:
 
 
 def _fit_waves(nu: float, q: float, u: np.ndarray, values: np.ndarray):
-    """(c_plus, c_minus): coefficients of dressed H1, H2 at local coordinate u."""
+    """(c_plus, c_minus): coefficients of dressed H1, H2 = conj(H1 D) at coordinate u."""
     d = (1.0 - q * q / (4.0 * u**4)) * np.exp(-1j * q * q / (6.0 * u**3))
     basis_plus = hankel1(nu, u) * d
-    basis_minus = hankel2(nu, u) * np.conj(d)
-    c_plus, c_minus, resid = _lstsq_two_column(basis_plus, basis_minus, values)
+    c_plus, c_minus, resid = _lstsq_two_column(basis_plus, np.conj(basis_plus), values)
     if resid > 1e-6:
         raise FitDegenerateError(f"wave fit residual {resid:.2e} exceeds 1e-6")
     return c_plus, c_minus

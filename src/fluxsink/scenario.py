@@ -44,6 +44,7 @@ Schema (all keys shown; optional ones carry their defaults):
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 
 from . import channels, quartic
@@ -171,11 +172,11 @@ def _parse_m_range(cp) -> tuple | None:
 
 def load_scenario(path: str) -> Scenario:
     """Parse a scenario INI file; ConfigError carries field diagnostics."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"scenario parse error in {path}: {exc}") from exc
@@ -219,8 +220,14 @@ def _format_model(model, potential) -> list[str]:
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
-    """Write an INI file that load_scenario parses back to an equal Scenario."""
-    pot = scenario.potential
+    """Write an INI file that load_scenario parses back to an equal Scenario.
+
+    ConfigError if the output path would not read back: it has surrounding
+    whitespace, a line break, or a ; or # that would start a comment.
+    """
+    pot, out = scenario.potential, scenario.out_path
+    if out != out.strip() or re.search(r"[\r\n]|(^|\s)[;#]", out):
+        raise ConfigError(f"[output] path = {out!r} cannot be written to a scenario file")
     lines = ["[potential]"]
     lines.append(f"kind = {pot.KIND}")
     lines.append(f"beta = {pot.beta!r}")
@@ -242,7 +249,7 @@ def write_scenario(scenario: Scenario, path: str) -> None:
     lines.append("")
     lines.append("[output]")
     lines.append(f"format = {scenario.out_format}")
-    lines.append(f"path = {scenario.out_path}")
+    lines.append(f"path = {out}")
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

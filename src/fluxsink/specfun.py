@@ -6,23 +6,29 @@ The radial problems in this package reduce to Bessel's equation
 
 with nu^2 of either sign.  For nu^2 >= 0 (order nu = mu real) every mature
 library applies and we delegate to scipy's AMOS bindings.  For nu^2 < 0
-(order nu = i*mu, mu > 0) scipy has no support; J_{i mu} and the Hankel
-pair are routed by region:
+(order nu = i*mu, mu > 0) scipy has no support; J_{i mu} and the
+outgoing Hankel function H1 are routed by region:
 
 * ``x <= 14``: ascending power series accumulated in 80-bit extended
   precision.  The alternating sum loses ~e^x of headroom, so 14 keeps at
   least 12 good digits.
 * ``14 < x < max(30, 10*mu)``: ``mpmath.besselj`` at 20 digits; mpmath
   raises its working precision itself to absorb the cancellation.
-* ``x >= max(30, 10*mu)``: Hankel's large-argument expansion.  At
-  x = 10*mu the smallest term is below ~1e-12 for every mu <= 50.
+* ``x >= max(30, 10*mu)``: Hankel's large-argument expansion, summed in
+  double precision.  At x = 10*mu the smallest term is below ~1e-12 for
+  every mu <= 50.
+
+Below the last edge H1 is formed from J_{i mu} and J_{-i mu} = conj J_{i mu}.
+The ingoing H2 is never evaluated on its own: at real argument it is the
+reflection of H1, H2_mu = conj H1_mu and H2_{i mu} = e^{-mu pi} conj H1_{i mu}
+(DLMF 10.11).
 
 Supported box: order magnitude mu <= 50 and 0 < x <= 1e4.  Outside it the
 functions raise RangeError rather than silently losing digits.
 
 Conventions (fixed package-wide): time dependence e^{-iEt}, so
 H^{(1)}_nu(x) ~ sqrt(2/(pi x)) e^{+i(x - nu pi/2 - pi/4)} is the outgoing
-wave and H^{(2)} the ingoing one.  For real x, conj(J_{i mu}) = J_{-i mu}.
+wave and H^{(2)} the ingoing one.
 """
 
 from __future__ import annotations
@@ -175,9 +181,7 @@ def _series_imag_fast(mu: float, x: float) -> tuple[complex, complex]:
             break
         if k > 400:  # cannot happen for x <= 14
             raise RangeError("imaginary-order series failed to converge")
-    val = c0 * complex(s_val)
-    der = c0 * complex(s_der) / x
-    return val, der
+    return c0 * complex(s_val), c0 * complex(s_der) / x
 
 
 def _j_imag_series(mu: float, x: float) -> tuple[complex, complex]:
@@ -191,27 +195,6 @@ def _j_imag_series(mu: float, x: float) -> tuple[complex, complex]:
         return complex(mp.besselj(nu, x)), complex(mp.besselj(nu, x, derivative=1))
 
 
-def _hankel_from_j_imag(
-    mu: float, j: complex, jd: complex
-) -> tuple[complex, complex, complex, complex]:
-    """Connect (J_{i mu}, J_{-i mu}) to the Hankel pair.
-
-    H1 = (e^{mu pi} J - conj J) / sinh(mu pi),
-    H2 = (conj J - e^{-mu pi} J) / sinh(mu pi);  conj(J_{i mu}) = J_{-i mu}
-    holds for real argument.  No cancellation: the numerator terms differ
-    in scale by e^{mu pi} (large mu) or the quotient is O(1/mu) against an
-    O(mu) denominator (small mu).
-    """
-    ep = math.exp(mu * math.pi)
-    em = math.exp(-mu * math.pi)
-    sh = math.sinh(mu * math.pi)
-    h1 = (ep * j - j.conjugate()) / sh
-    h1d = (ep * jd - jd.conjugate()) / sh
-    h2 = (j.conjugate() - em * j) / sh
-    h2d = (jd.conjugate() - em * jd) / sh
-    return h1, h1d, h2, h2d
-
-
 # =====================================================================
 # imaginary order: Hankel's large-argument expansion
 # =====================================================================
@@ -221,20 +204,19 @@ def _asym_edge(mu: float) -> float:
     return max(30.0, 10.0 * mu)
 
 
-def _hankel_asym_imag(mu: float, x: float) -> tuple[complex, complex, complex, complex]:
-    """Hankel pair of order i*mu from the large-argument expansion.
+def _hankel_asym_imag(mu: float, x: float) -> tuple[complex, complex]:
+    """(H1, H1') of order i*mu from the large-argument expansion.
 
-    H^{(1,2)} = sqrt(2/(pi x)) e^{+-i omega} S_{1,2},
-    omega = x - i mu pi/2 - pi/4,  S = sum_k (+-i)^k a_k / x^k with the
-    standard a_k recurrence (4 nu^2 = -4 mu^2, so the a_k are real and
-    alternate).  Truncated at the smallest term; at x >= max(30, 10 mu)
-    that term is below ~2e-12 everywhere in the supported box.
+    H^{(1)} = sqrt(2/(pi x)) e^{i omega} S,  omega = x - i mu pi/2 - pi/4,
+    S = sum_k i^k a_k / x^k with the standard a_k recurrence (4 nu^2 =
+    -4 mu^2, so the a_k are real and alternate).  Truncated at the
+    smallest term; at x >= max(30, 10 mu) that term is below ~2e-12
+    everywhere in the supported box.
     """
     nu2x4 = -4.0 * mu * mu
-    # The a_k are real here (4 nu^2 = -4 mu^2 is real).  Near the region
-    # edge the term magnitudes first hump upward (peak <~ 3 at x = 10 mu)
-    # before the asymptotic descent, so locate the global minimum term and
-    # truncate there; the omitted tail is of that size.
+    # Near the region edge the term magnitudes first hump upward (peak <~ 3
+    # at x = 10 mu) before the asymptotic descent, so truncate at the global
+    # minimum term; the omitted tail is of that size.
     terms = [1.0]
     t = 1.0
     for k in range(1, 2 * int(x) + 120):
@@ -248,36 +230,39 @@ def _hankel_asym_imag(mu: float, x: float) -> tuple[complex, complex, complex, c
             f"asymptotic expansion bottoms out at {abs(terms[k_min]):.2e} "
             f"for mu={mu}, x={x}"
         )
-    # sum through the smallest term in extended precision; the a_k are
-    # real, so the H2 series is the exact conjugate of the H1 series
-    s1 = np.clongdouble(1) + np.clongdouble(0) * 1j
-    d1 = np.clongdouble(0) + np.clongdouble(0) * 1j
-    ik = complex(1.0)
+    # i^k is exact, so each term enters one component of S unrounded
+    s, sd, ik = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j
     for k in range(1, k_min + 1):
         ik *= 1j
-        t1 = np.clongdouble(ik.real) + np.clongdouble(ik.imag) * 1j
-        ak = np.clongdouble(terms[k])
-        s1 = s1 + t1 * ak
-        d1 = d1 - t1 * ak * np.clongdouble(k / x)
-    S1, S1d = complex(s1), complex(d1)
-    S2, S2d = S1.conjugate(), S1d.conjugate()
-    pref = math.sqrt(2.0 / (math.pi * x))
+        s += ik * terms[k]
+        sd -= ik * terms[k] * (k / x)
     # e^{i omega} = e^{i(x - pi/4)} e^{mu pi / 2}
-    ph = cmath.exp(1j * (x - 0.25 * math.pi))
-    ep = math.exp(0.5 * mu * math.pi)
-    h1 = pref * ph * ep * S1
-    h2 = pref * ep**-1 * S2 / ph
-    h1d = pref * ph * ep * (1j * S1 + S1d - S1 / (2.0 * x))
-    h2d = pref * (ep**-1 / ph) * (-1j * S2 + S2d - S2 / (2.0 * x))
-    return h1, h1d, h2, h2d
+    amp = math.sqrt(2.0 / (math.pi * x)) * cmath.exp(1j * (x - 0.25 * math.pi))
+    amp *= math.exp(0.5 * mu * math.pi)
+    return amp * s, amp * (1j * s + sd - s / (2.0 * x))
 
 
-def _imag_order_all(mu: float, x: float) -> tuple[complex, complex, complex, complex]:
-    """(H1, H1', H2, H2') of order i*mu, routed by region."""
-    if x < _asym_edge(mu):
-        j, jd = _j_imag_series(mu, x)
-        return _hankel_from_j_imag(mu, j, jd)
-    return _hankel_asym_imag(mu, x)
+def _h1_imag(mu: float, x: float) -> tuple[complex, complex]:
+    """(H1, H1') of order i*mu, routed by region.
+
+    Below the asymptotic edge H1 = (e^{mu pi} J - conj J) / sinh(mu pi),
+    with conj(J_{i mu}) = J_{-i mu} for real argument.  No cancellation:
+    the two terms differ in scale by e^{mu pi} (large mu), or the quotient
+    is O(1/mu) against an O(mu) denominator (small mu).
+    """
+    if x >= _asym_edge(mu):
+        return _hankel_asym_imag(mu, x)
+    j, jd = _j_imag_series(mu, x)
+    ep = math.exp(mu * math.pi)
+    sh = math.sinh(mu * math.pi)
+    return (ep * j - j.conjugate()) / sh, (ep * jd - jd.conjugate()) / sh
+
+
+def _reflect(order: Order, h: complex) -> complex:
+    """H2 from H1 at real argument: conj H1, times e^{-mu pi} for order i*mu."""
+    if order.kind == "real":
+        return h.conjugate()
+    return math.exp(-order.mu * math.pi) * h.conjugate()
 
 
 # =====================================================================
@@ -291,13 +276,11 @@ def bessel_j_pair(order: Order, x: float) -> tuple[complex, complex]:
     if order.kind == "real":
         v = complex(_sp.jv(order.mu, x))
         d = complex(_sp.jvp(order.mu, x))
-        _check_finite("bessel_j", v, d)
-        return v, d
-    if x < _asym_edge(order.mu):
+    elif x < _asym_edge(order.mu):
         v, d = _j_imag_series(order.mu, x)
-    else:
-        h1, h1d, h2, h2d = _hankel_asym_imag(order.mu, x)
-        v, d = 0.5 * (h1 + h2), 0.5 * (h1d + h2d)
+    else:  # J = (H1 + H2) / 2
+        h, hd = _hankel_asym_imag(order.mu, x)
+        v, d = 0.5 * (h + _reflect(order, h)), 0.5 * (hd + _reflect(order, hd))
     _check_finite("bessel_j", v, d)
     return v, d
 
@@ -308,27 +291,22 @@ def bessel_j(order: Order, x: float) -> complex:
 
 
 def hankel_pair(kind: int, order: Order, x: float) -> tuple[complex, complex]:
-    """(H_nu(x), dH_nu/dx) for Hankel kind 1 (outgoing) or 2 (ingoing)."""
+    """(H_nu(x), dH_nu/dx) for Hankel kind 1 (outgoing) or 2 (ingoing).
+
+    Only H1 is evaluated; kind 2 is its reflection at real argument,
+    H2_mu = conj H1_mu and H2_{i mu} = e^{-mu pi} conj H1_{i mu}.
+    """
     if kind not in (1, 2):
         raise RangeError(f"hankel kind must be 1 or 2, got {kind!r}")
     x = _check_x(x)
     if order.kind == "real":
-        try:
-            if kind == 1:
-                v = complex(_sp.hankel1(order.mu, x))
-                d = complex(_sp.h1vp(order.mu, x))
-            else:
-                v = complex(_sp.hankel2(order.mu, x))
-                d = complex(_sp.h2vp(order.mu, x))
-        except Exception as exc:  # pragma: no cover - AMOS failures are rare
-            raise DegenerateOrderError(
-                f"real-order Hankel evaluation failed at nu={order.mu}, x={x}"
-            ) from exc
-        _check_finite("hankel", v, d)
-        return v, d
-    h1, h1d, h2, h2d = _imag_order_all(order.mu, x)
-    v, d = (h1, h1d) if kind == 1 else (h2, h2d)
+        v = complex(_sp.hankel1(order.mu, x))
+        d = complex(_sp.h1vp(order.mu, x))
+    else:
+        v, d = _h1_imag(order.mu, x)
     _check_finite("hankel", v, d)
+    if kind == 2:
+        return _reflect(order, v), _reflect(order, d)
     return v, d
 
 
@@ -353,10 +331,8 @@ def wronskian_check(order: Order, x: float) -> float:
 
     * real order: W = 2i (J Y' - J' Y), whose two terms share a sign at
       small x;
-    * imaginary order below the asymptotic edge: the package builds the
-      pair from J_{i mu}, so W = 4i Im(J' conj(J)) / sinh(mu pi) exactly;
-    * imaginary order in the asymptotic region: direct products (the
-      factors are O(1) there).
+    * imaginary order: H2 = e^{-mu pi} conj H1, so
+      W = 2i e^{-mu pi} Im(H1' conj H1) in every region.
     """
     x = _check_x(x)
     if order.kind == "real":
@@ -366,10 +342,7 @@ def wronskian_check(order: Order, x: float) -> float:
         byd = float(_sp.yvp(order.mu, x))
         _check_finite("wronskian_check", complex(bj, by), complex(bjd, byd))
         w = 2j * (bj * byd - bjd * by)
-    elif x < _asym_edge(order.mu):
-        sj, sjd = _j_imag_series(order.mu, x)
-        w = 4j * (sjd * sj.conjugate()).imag / math.sinh(order.mu * math.pi)
     else:
-        h1, h1d, h2, h2d = _hankel_asym_imag(order.mu, x)
-        w = h1d * h2 - h1 * h2d
+        h, hd = _h1_imag(order.mu, x)
+        w = 2j * math.exp(-order.mu * math.pi) * (hd * h.conjugate()).imag
     return abs(w * (0.25j * math.pi * x) + 1.0)

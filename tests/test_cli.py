@@ -451,6 +451,36 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, name, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind,model,bad",
+    [
+        ("inverse_square", "kind = elastic\ntheta = nan", "theta=nan"),
+        ("inverse_square", "kind = elastic\ntheta = inf", "theta=inf"),
+        ("inverse_square", "kind = elastic\nl = nan", "l=nan"),
+        ("inverse_quartic", "kind = elastic\ntheta = nan", "theta=nan"),
+        ("inverse_quartic", "kind = elastic\ntheta = inf", "theta=inf"),
+        ("inverse_square", "kind = custom\nratio_0 = nan, 0", "ratio_0="),
+    ],
+    ids=["theta-nan", "theta-inf", "l-nan", "quartic-theta-nan", "quartic-theta-inf", "custom-nan"],
+)
+def test_non_finite_model_parameter_is_config_error(tmp_path, capsys, kind, model, bad):
+    text = _scenario_text(kind=kind, lam=1.0, model=model, phi_samples=7, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "nf.ini", text)]) == 1
+    err = capsys.readouterr().err
+    assert bad in err and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_scenario_is_literal(tmp_path, capsys):
+    # values are read as written: no %-interpolation
+    out = tmp_path / "out%(x)s%"
+    assert cli.main(["run", _write(tmp_path, "pct.ini", _scenario_text(path=str(out)))]) == 0
+    assert (out / "modes.csv").exists()
+    bad = _scenario_text(beta="0.3%", path=str(tmp_path / "o"))
+    assert cli.main(["run", _write(tmp_path, "bad.ini", bad)]) == 1
+    assert "is not a number" in capsys.readouterr().err
+
+
 def test_unexpected_failure_is_solver_error(tmp_path, capsys, monkeypatch):
     # a plain RuntimeError from inside a solve is no package error
     def broken(*args, **kwargs):
@@ -639,6 +669,8 @@ def test_sweep_rejects_bad_axes(tmp_path, capsys):
     for grid in ("beta=nan:0.5:0.1", "beta=0:0.5:nan", "beta=0:inf:0.1", "gamma=0.1:0.2:inf"):
         assert cli.main(["sweep", cfgp, "--vary", grid]) == 1
     assert cli.main(["sweep", cfgp, "--vary", "beta=0:1e12:1"]) == 1  # 1e12 points
+    grid = ["--vary", "beta=0.1:0.2:0.00001", "--vary", "gamma=0.5:0.6:0.001"]
+    assert cli.main(["sweep", cfgp, *grid]) == 1  # 10,001 x 101 points
     capsys.readouterr()
 
 
