@@ -32,7 +32,7 @@ and the same classes serve the inverse-quartic core (quartic module).
 Each config class (ScatteringConfig here, QuarticConfig there) is the
 only place that knows its potential: scenario files, the CLI and the
 amplitude assembly go through its KIND, COUPLING, required_modes, solve
-and amplitude.
+and amplitudes (amplitude at one phi).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ __all__ = [
     "physical_coefficients",
     "partial_current",
     "amplitude",
+    "amplitudes",
     "ab_amplitude_closed",
     "PHI_MIN",
 ]
@@ -79,6 +80,8 @@ PHI_MIN = 1e-3
 
 # half-width of the critical bands treated as degenerate
 REGIME_EPS = 1e-9
+
+MODES_MAX = 10**5  # most modes a run solves: an explicit range or a total-absorption window
 
 # largest core strength: supercritical orders mu <= gamma need e^(-pi mu)
 # to stay a normal double, i.e. gamma <= -ln(float_min)/pi ~ 225.49
@@ -138,6 +141,9 @@ class ScatteringConfig:
 
     def amplitude(self, solutions: list, phi: float) -> complex:
         return amplitude(self, solutions, phi)
+
+    def amplitudes(self, solutions: list, phis) -> list[complex]:
+        return amplitudes(self, solutions, phis)
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,8 @@ class TotalAbsorption:
     def __post_init__(self) -> None:
         if self.n_minus < 0 or self.n_plus < 0:
             raise ConfigError("total-absorption window bounds must be >= 0")
+        if self.n_minus + self.n_plus >= MODES_MAX:
+            raise ConfigError(f"total-absorption window holds more than {MODES_MAX} modes")
 
     def covers(self, m: int) -> bool:
         return -self.n_minus <= m <= self.n_plus
@@ -545,19 +553,37 @@ def partial_current(
 # ---------------------------------------------------------------------
 
 
-def _wrap_angle(phi: float) -> float:
-    """Reduce to (-pi, pi]."""
+def _outside_cone(phi: float) -> float:
+    """phi reduced to (-pi, pi]; ForwardDirectionError inside |phi| < PHI_MIN."""
     w = math.fmod(phi + math.pi, 2.0 * math.pi)
     if w <= 0.0:
         w += 2.0 * math.pi
-    return w - math.pi
+    w -= math.pi
+    if abs(w) < PHI_MIN:
+        raise ForwardDirectionError(f"phi={phi} is inside the excluded forward cone (|phi| < {PHI_MIN})")
+    return w
 
 
-def _ab_smatrix(beta: float, m: int) -> complex:
-    """Pure-flux S-matrix e^{i pi (m - |m - beta|)} for 0 <= beta < 1."""
-    if m >= 1:
-        return cmath.exp(1j * math.pi * beta)
-    return cmath.exp(-1j * math.pi * beta)
+def _amplitude_grid(cfg, solutions: list, phis) -> list[complex]:
+    """C sum_m (S_m - S_m^AB) e^{i m phi} + f_AB(phi) at each phi as given.
+
+    Per phi the terms add in ascending m: that order fixes the last bits.
+    """
+    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
+    k = -c * math.sin(math.pi * cfg.beta)
+    terms = []
+    for sol in sorted(solutions, key=lambda s: s.mode.m):
+        m = sol.mode.m
+        s_ab = cmath.exp((1j if m >= 1 else -1j) * math.pi * cfg.beta)  # e^{i pi (m - |m - beta|)}
+        terms.append((1j * m, sol.s_matrix - s_ab))
+    out = []
+    for phi in phis:
+        w = _outside_cone(phi)  # f_AB reduces phi on its own, as ab_amplitude_closed does
+        acc = 0.0 + 0.0j
+        for im, dm in terms:
+            acc += dm * cmath.exp(im * phi)
+        out.append(c * acc + k * cmath.exp(0.5j * w) / math.sin(0.5 * w))
+    return out
 
 
 def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
@@ -567,40 +593,29 @@ def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
     the Abel-summed full mode series; |f_AB| = sin(pi beta)/(sqrt(2 pi p)
     |sin(phi/2)|).
     """
-    w = _wrap_angle(phi)
-    if abs(w) < PHI_MIN:
-        raise ForwardDirectionError(
-            f"phi={phi} is inside the excluded forward cone (|phi| < {PHI_MIN})"
-        )
+    w = _outside_cone(phi)
     c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
     return -c * math.sin(math.pi * cfg.beta) * cmath.exp(0.5j * w) / math.sin(0.5 * w)
 
 
-def amplitude(cfg: ScatteringConfig, solutions: list[ChannelSolution], phi: float) -> complex:
-    """Scattering amplitude f(phi) = C sum_m (S_m - cos pi beta) e^{i m phi}.
+def amplitudes(cfg: ScatteringConfig, solutions: list[ChannelSolution], phis) -> list[complex]:
+    """Scattering amplitude f(phi) = C sum_m (S_m - cos pi beta) e^{i m phi} at each phi.
 
     C = e^{-i pi/4}/sqrt(2 pi p).  The explicitly solved modes enter as
     differences against the pure-flux background S_m^{AB}; the infinite
     Regular tail is the Abel-summed closed form ab_amplitude_closed.  At
     gamma = 0 the resummation is exact.  Every non-Regular mode must be
-    present among the solutions.
-
-    Raises ForwardDirectionError inside the excluded cone |phi| < 1e-3.
+    present among the solutions (IncompleteRangeError); before that, every
+    phi must lie outside the cone |phi| < 1e-3 (ForwardDirectionError).
     """
-    w = _wrap_angle(phi)
-    if abs(w) < PHI_MIN:
-        raise ForwardDirectionError(
-            f"phi={phi} is inside the excluded forward cone (|phi| < {PHI_MIN})"
-        )
+    ws = [_outside_cone(phi) for phi in phis]
     present = {s.mode.m for s in solutions}
     missing = [m for m in nonregular_modes(cfg) if m not in present]
     if missing:
-        raise IncompleteRangeError(
-            f"amplitude needs every non-Regular mode; missing {missing}"
-        )
-    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
-    acc = 0.0 + 0.0j
-    for sol in sorted(solutions, key=lambda s: s.mode.m):
-        dm = sol.s_matrix - _ab_smatrix(cfg.beta, sol.mode.m)
-        acc += dm * cmath.exp(1j * sol.mode.m * w)
-    return c * acc + ab_amplitude_closed(cfg, w)
+        raise IncompleteRangeError(f"amplitude needs every non-Regular mode; missing {missing}")
+    return _amplitude_grid(cfg, solutions, ws)
+
+
+def amplitude(cfg: ScatteringConfig, solutions: list[ChannelSolution], phi: float) -> complex:
+    """f(phi) at one angle; see amplitudes."""
+    return amplitudes(cfg, solutions, [phi])[0]

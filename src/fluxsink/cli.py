@@ -154,8 +154,9 @@ def run_scenario(scn: scenario.Scenario, out_dir: str, fmt: str) -> list:
     ]
     if scn.phi_samples > 0:
         edge = 2.0 * channels.PHI_MIN
-        grid = np.linspace(edge, 2.0 * math.pi - edge, scn.phi_samples)
-        rows = [(phi, abs(pot.amplitude(sols, float(phi))) ** 2) for phi in grid]
+        # Python floats: numpy scalar arithmetic may differ in the last bit
+        grid = np.linspace(edge, 2.0 * math.pi - edge, scn.phi_samples).tolist()
+        rows = [(phi, abs(f) ** 2) for phi, f in zip(grid, pot.amplitudes(sols, grid))]
         written.append(_write_table(out_dir, "differential", "csv", ("phi", "dsigma_dphi"), rows))
     return written
 

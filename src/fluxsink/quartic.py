@@ -52,8 +52,7 @@ from .channels import (
     PartialMode,
     Sink,
     TotalAbsorption,
-    _ab_smatrix,
-    ab_amplitude_closed,
+    _amplitude_grid,
 )
 from .errors import ConfigError, FitDegenerateError
 from .oracle import _lstsq_two_column, _run_stage
@@ -69,10 +68,11 @@ __all__ = [
     "backward_defect",
     "forward_fit_defect",
     "quartic_amplitude",
+    "quartic_amplitudes",
 ]
 
 REGIME_QUARTIC = "Quartic"
-FIT_U = (60.0, 120.0)  # wave-fit window of the checks; FIT_U[0] also bounds the start
+FIT_U = (60.0, 120.0)  # floor of _start_w, and the outer start of backward_defect
 _POINTS_PER_WAVELENGTH = 40
 _START_BIAS = 1e-9
 # Largest coupling q = p lam accepted.  The inward solve's work grows like
@@ -137,6 +137,9 @@ class QuarticConfig:
 
     def amplitude(self, solutions: list, phi: float) -> complex:
         return quartic_amplitude(self, solutions, phi)
+
+    def amplitudes(self, solutions: list, phis) -> list[complex]:
+        return quartic_amplitudes(self, solutions, phis)
 
 
 @dataclass(frozen=True)
@@ -321,16 +324,17 @@ def _origin_init(nu: float, q: float, x0: float) -> list:
 def forward_fit_defect(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     """Largest sink or elastic |S_m| difference between T and a forward fit.
 
-    The forward fit integrates both origin waves out to p rho = 120 and
-    fits dressed waves over p rho in [60, 120].  It shares neither the
-    mirror argument nor the 2x2 solve, so a small defect is evidence that
-    the inward integration is right.
+    The forward fit integrates both origin waves out to p rho = 2 u0 and
+    fits dressed waves over [u0, 2 u0], u0 = _start_w(q).  It shares
+    neither the mirror argument nor the 2x2 solve, so a small defect is
+    evidence that the inward integration is right.
     """
     nu = abs(m - cfg.beta)
     q = cfg.q
-    x0 = math.log(math.sqrt(q) / _start_w(q))
-    x1 = math.log(FIT_U[1] / math.sqrt(q))
-    x_eval = _window_grid(q, FIT_U[0], FIT_U[1], sign=+1)
+    u0 = _start_w(q)
+    x0 = math.log(math.sqrt(q) / u0)
+    x1 = math.log(2.0 * u0 / math.sqrt(q))
+    x_eval = _window_grid(q, u0, 2.0 * u0, sign=+1)
     cols = []
     for y0 in _origin_init(nu, q, x0):
         y = _integrate(np.array([nu * nu]), q, y0, x0, x1, x_eval, tol)
@@ -400,7 +404,7 @@ def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
 def quartic_smatrices(cfg: QuarticConfig, ms, model, tol: float = 1e-8) -> list:
     """Solve modes ms of the rho^-4 channel under model, in order, in at most one ODE solve."""
     ms = list(ms)
-    window = cfg.required_modes(model)  # S = 0 there: no connection matrix needed
+    window = set(cfg.required_modes(model))  # S = 0 there: no connection matrix needed
     need = [m for m in ms if m not in window]
     conns = dict(zip(need, connection_matrices(cfg, need, tol)))
     return [_solution(cfg, m, model, conns.get(m)) for m in ms]
@@ -416,19 +420,16 @@ def capture_probability(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
     return cfg.p * quartic_smatrix(cfg, m, Sink(), tol).sigma_abs
 
 
-def quartic_amplitude(cfg: QuarticConfig, solutions: list, phi: float) -> complex:
-    """f(phi) from explicitly solved modes plus the pure-flux background.
+def quartic_amplitudes(cfg: QuarticConfig, solutions: list, phis) -> list[complex]:
+    """f(phi) at each phi from explicitly solved modes plus the pure-flux background.
 
-    Mirrors the inverse-square amplitude assembly: solved modes enter as
-    differences against S_m^{AB} and the Regular tail is the Abel-summed
-    closed form.  S_m -> S_m^{AB} as capture shuts off at large |m - beta|,
-    so truncation error is set by the caller's mode range rather than a
-    sharp non-Regular set.
+    The inverse-square assembly with phi unreduced in the mode phases and
+    no required modes: S_m -> S_m^{AB} as capture shuts off at large
+    |m - beta|, so the caller's mode range sets the truncation error.
     """
-    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
-    acc = 0.0 + 0.0j
-    base = ab_amplitude_closed(cfg, phi)  # validates the forward cone
-    for sol in sorted(solutions, key=lambda s: s.mode.m):
-        dm = sol.s_matrix - _ab_smatrix(cfg.beta, sol.mode.m)
-        acc += dm * cmath.exp(1j * sol.mode.m * phi)
-    return c * acc + base
+    return _amplitude_grid(cfg, solutions, phis)
+
+
+def quartic_amplitude(cfg: QuarticConfig, solutions: list, phi: float) -> complex:
+    """f(phi) at one angle; see quartic_amplitudes."""
+    return quartic_amplitudes(cfg, solutions, [phi])[0]

@@ -34,7 +34,7 @@ Schema (all keys shown; optional ones carry their defaults):
     m_range = auto               ; or "lo:hi"
 
     [angles]
-    phi_samples = 721            ; 0 disables differential output
+    phi_samples = 721            ; 0 disables differential output, at most 10**6
 
     [output]
     format = csv                 ; csv | json
@@ -59,6 +59,7 @@ __all__ = [
 
 _MODEL_KINDS = ("sink", "elastic", "total_absorption", "custom")
 _POTENTIALS = (channels.ScatteringConfig, quartic.QuarticConfig)
+PHI_SAMPLES_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ def load_scenario(path: str) -> Scenario:
     model = _parse_model(cp, potential)
     m_range = _parse_m_range(cp)
     phi_samples = _get_int(cp, "angles", "phi_samples", "721")
-    if phi_samples < 0:
-        raise ConfigError(f"[angles] phi_samples must be >= 0, got {phi_samples}")
+    if not 0 <= phi_samples <= PHI_SAMPLES_MAX:
+        raise ConfigError(f"[angles] phi_samples must lie in [0, {PHI_SAMPLES_MAX}], got {phi_samples}")
     out_format = _get(cp, "output", "format", "csv").strip().lower()
     if out_format not in ("csv", "json"):
         raise ConfigError(f"[output] format = {out_format!r}; expected csv or json")
@@ -260,13 +261,13 @@ def resolve_m_range(scenario: Scenario) -> tuple:
 
     auto covers the modes the potential requires plus a 10-mode margin
     on each side (-10..10 when none is required); an explicit range must
-    cover those modes itself and must not be empty (ConfigError).
+    cover those modes itself.  ConfigError for an empty range or one of
+    more than channels.MODES_MAX modes.
     """
     pot = scenario.potential
     required = pot.required_modes(scenario.model)
-    if scenario.m_range is None:
-        return (min(required, default=0) - 10, max(required, default=0) + 10)
-    lo, hi = int(scenario.m_range[0]), int(scenario.m_range[1])
+    auto = (min(required, default=0) - 10, max(required, default=0) + 10)
+    lo, hi = (int(b) for b in scenario.m_range or auto)
     missing = [m for m in required if not lo <= m <= hi]
     if missing:
         raise ConfigError(
@@ -274,4 +275,6 @@ def resolve_m_range(scenario: Scenario) -> tuple:
         )
     if lo > hi:
         raise ConfigError(f"empty mode range [{lo}, {hi}]")
+    if hi - lo >= channels.MODES_MAX:
+        raise ConfigError(f"mode range [{lo}, {hi}] holds more than {channels.MODES_MAX} modes")
     return (lo, hi)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsink import cli
+from fluxsink import cli, quartic
 from fluxsink.channels import (
     Custom,
     Elastic,
@@ -18,6 +18,7 @@ from fluxsink.channels import (
     TotalAbsorption,
     ab_amplitude_closed,
     amplitude,
+    amplitudes,
     classify_mode,
     nonregular_modes,
     partial_current,
@@ -410,3 +411,32 @@ def test_elastic_picks_the_regime_parameter():
         assert solve_channel(cfg, mode, model) == solve_channel(cfg, mode, regime_model)
     with pytest.raises(TypeError):
         Elastic(0.3)  # keyword-only: a bare number names no parameter
+
+
+def _bits(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@pytest.mark.parametrize(
+    "cfg,model",
+    [
+        (ScatteringConfig(beta=0.3, gamma=1.5, p=1.0), Elastic(l=0.7, theta=1.2)),
+        (quartic.QuarticConfig(beta=0.3, lam=2.0, p=1.0), Sink()),
+    ],
+    ids=["inverse_square", "inverse_quartic"],
+)
+def test_amplitudes_match_scalar_amplitude_bitwise(cfg, model):
+    # the grid pass forms the mode terms once; every value keeps its bits
+    sols = cfg.solve(range(-4, 6), model)
+    grid = _phi_grid().tolist()
+    got = cfg.amplitudes(sols, grid)
+    assert [_bits(f) for f in got] == [_bits(cfg.amplitude(sols, phi)) for phi in grid]
+
+
+def test_amplitudes_check_the_cone_before_the_modes():
+    cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
+    sols = cfg.solve([0], Sink())  # m = 1 missing
+    with pytest.raises(ForwardDirectionError):
+        amplitudes(cfg, sols, [math.pi, 0.0])
+    with pytest.raises(IncompleteRangeError):
+        amplitudes(cfg, sols, [math.pi, 1.0])

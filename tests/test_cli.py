@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -366,6 +367,55 @@ def test_quartic_golden_files(tmp_path):
     assert (tmp_path / "out" / "differential.csv").read_text() == GOLDEN_QUARTIC_DIFFERENTIAL
 
 
+GOLDEN_SQUARE_DIFFERENTIAL = """\
+phi,dsigma_dphi
+0.002,105733.26946243233
+0.17642181408832186,21.307127613254519
+0.35084362817664372,9.6355984789429296
+0.52526544226496563,2.4978519516282387
+0.69968725635328743,1.9173426366293078
+0.87410907044160924,1.8881365380578514
+1.0485308845299313,0.54632069792925353
+1.2229526986182531,0.45323811624997673
+1.3973745127065749,0.38171187386091049
+1.5717963267948967,0.44193429818589119
+1.7462181408832185,0.43908705371483192
+1.9206399549715405,0.3435522635571584
+2.0950617690598623,0.65270420281348396
+2.2694835831481841,0.48370992334252116
+2.4439053972365059,0.24564161805986082
+2.6183272113248277,0.34687359347895069
+2.7927490254131495,0.13043964867308211
+2.9671708395014713,0.0090205359781800731
+3.1415926535897931,0.027692146617866172
+3.3160144676781149,0.05267586833196726
+3.4904362817664367,0.21912349801615197
+3.664858095854759,0.19571258515037465
+3.8392799099430808,0.33663610124966942
+4.0137017240314021,0.49872354262867308
+4.1881235381197248,0.31225054069937425
+4.3625453522080466,0.28625598118831275
+4.5369671662963684,0.223566012672649
+4.7113889803846902,0.18404366450288506
+4.885810794473012,0.13341319385523281
+5.0602326085613338,0.11148635803519238
+5.2346544226496556,0.75532697301522722
+5.4090762367379774,0.94273151478718487
+5.5834980508262992,1.4367730518416475
+5.757919864914621,1.8508943158425379
+5.9323416790029428,3.3990083506366031
+6.1067634930912646,14.835660955240588
+6.2811853071795865,102604.36738913342
+"""
+
+
+def test_square_golden_differential(tmp_path):
+    # gamma > 0: the solved non-Regular modes and the closed-form tail together
+    text = _scenario_text(gamma=1.5, phi_samples=37, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "gd.ini", text)]) == 0
+    assert (tmp_path / "out" / "differential.csv").read_text() == GOLDEN_SQUARE_DIFFERENTIAL
+
+
 @pytest.mark.parametrize(
     "model,label",
     [("kind = sink", "sink"), ("kind = elastic\ntheta = 0.4", "elastic(theta=0.40000000000000002)")],
@@ -511,6 +561,31 @@ def test_sweep_past_quartic_bound_is_config_error(tmp_path, capsys):
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert "sweep point (lam=20001)" in err and "too large" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kw,bad",
+    [
+        (dict(kind="inverse_quartic", lam=1.0, model="kind = total_absorption\nm_abs = 1000000000"),
+         "more than 100000 modes"),
+        (dict(m_range="-1000000000:1000000000"), "more than 100000 modes"),
+        (dict(phi_samples=10**9), "phi_samples must lie in [0, 1000000]"),
+    ],
+    ids=["quartic-window", "m-range", "phi-samples"],
+)
+def test_oversized_run_is_config_error(tmp_path, capsys, kw, bad):
+    # refused before any mode or angle list is built
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", _write(tmp_path, "big.ini", _scenario_text(path=str(tmp_path / "out"), **kw))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert bad in err and len(err.splitlines()) == 1
+    assert peak < 10**7
     assert not (tmp_path / "out").exists()
 
 

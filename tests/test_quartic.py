@@ -87,6 +87,9 @@ def test_mirror_matches_forward_fit():
     # integration end one bit apart
     edge = QuarticConfig(beta=0.3, lam=4.8630569248448765, p=1.0)
     assert forward_fit_defect(edge, 0) <= 1e-6
+    # q = 100: the fit window [u0, 2 u0] sits where the dressing bias is small
+    big = QuarticConfig(beta=0.3, lam=100.0, p=1.0)
+    assert forward_fit_defect(big, 2, tol=1e-6) <= 1e-6
 
 
 def test_connection_cache_key():
