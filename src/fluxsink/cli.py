@@ -21,8 +21,9 @@ sweep <config> --vary name=start:stop:step [--vary ...] [--out DIR] [--format cs
 certify [--strict]
     Self-check suite: Wronskian sweep, ODE residual sweep, closed-form
     model invariants, the independent radial-integration oracle against
-    the closed forms, the quartic connection-matrix flux identities, and
-    the mirror-built quartic S_m against an independent forward fit.
+    the closed forms, the quartic flux identities, the mirror-built
+    quartic S_m against an independent forward fit, and the default
+    (Floquet) quartic S_m against the inward solve.
     Prints one pass/fail line per check with its worst residual.
     --strict reruns the oracle at tolerance/100 and additionally requires
     the residuals to shrink.
@@ -341,6 +342,15 @@ def _quartic_worst() -> tuple:
     return flux, unit, forward, back
 
 
+def _spectral_vs_ode_worst() -> float:
+    # beta = 0.3 and q = 2, 8 put m = -1..1 and more in instability bands
+    cases = [(quartic.QuarticConfig(beta=0.3, lam=q, p=1.0), model)
+             for q in (0.3, 2.0, 8.0) for model in (channels.Sink(), channels.Elastic(theta=1.1))]
+    return max(abs(a.s_matrix - b.s_matrix) for cfg, model in cases for a, b in zip(
+        quartic.quartic_smatrices(cfg, range(-3, 4), model),
+        quartic.quartic_smatrices(cfg, range(-3, 4), model, tol=1e-10)))
+
+
 def certify(strict: bool = False, stream=None) -> int:
     """Run the release-gate checks; print the matrix; 0 if all pass else 3."""
     stream = stream or sys.stdout
@@ -365,6 +375,7 @@ def certify(strict: bool = False, stream=None) -> int:
     checks.append(("quartic-elastic-unitarity", unit, 1e-6))
     checks.append(("quartic-forward-fit", forward, 1e-6))
     checks.append(("quartic-backward-roundtrip", back, 1e-5))
+    checks.append(("quartic-spectral-vs-ode", _spectral_vs_ode_worst(), 1e-8))
 
     failed = 0
     for name, worst, bound in checks:

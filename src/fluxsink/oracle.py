@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .channels import (
     PartialMode,
@@ -165,6 +164,8 @@ def init_for_model(
 
 
 def _run_stage(rhs, t0, t1, y0, t_eval, tol, max_step, what):
+    from scipy.integrate import solve_ivp  # imported on first use: a default quartic run needs no ODE
+
     res = solve_ivp(
         rhs,
         (t0, t1),

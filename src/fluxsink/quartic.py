@@ -19,15 +19,23 @@ The models are the channels vocabulary: Sink (c4 = 0), Elastic(theta)
 and TotalAbsorption, whose window has S_m = 0 and Elastic() outside.
 
 By the mirror symmetry the origin-side waves are the infinity-side ones
-reflected.  One inward integration of the dressed outgoing wave f+ from
-u = _start_w(q) to x = 0 gives M = [[f+, f-], [f+', f-']] there, with
+reflected.  The outgoing solution f+ (f+ ~ H1_nu(u) as u -> inf) and
+its x-derivative at x = 0 give M = [[f+, f-], [f+', f-']] there, with
 f- = conj(f+); the origin basis has the same values and negated
-derivatives, so T = M^{-1} diag(1, -1) M.  Each half-line is integrated
-in its own variable v = sqrt(q) e^{|x|} (u on the right, w on the left),
-where the wave rate is about 1 from the start point down to x = 0, so a
-uniform step cap in v follows the local wavelength; the checks that
-cross x = 0 run as two stages split there.  The cap depends on tol
-only, so all orders nu of a run share one solve_ivp call.
+derivatives, so T = M^{-1} diag(1, -1) M.  f+ at x = 0 comes one of two
+ways, picked by the tol argument:
+
+* tol=None (the default) and q <= Q_SPECTRAL: from Floquet data, no ODE.
+  The characteristic exponent nu(a, q) makes a an eigenvalue of the Hill
+  matrix diag((nu + 2n)^2) + q (ones off the diagonal), whose eigenvector
+  gives c_2n; nu is real in stable bands, k + i mu in instability bands.
+  The Bessel-product series (DLMF 28.23) gives f+ = e^{i pi (nu - nu0)/2}
+  sum (-1)^n c_2n J_n(w) H1_{nu+n}(u), with w = u = sqrt(q) at x = 0, as
+  Vogt & Wannier (Phys. Rev. 95, 1190, 1954) used for this core.
+* a float tol, or the default above Q_SPECTRAL at 1e-8: one solve_ivp
+  call integrates the dressed outgoing waves of all orders inward from
+  u = _start_w(q), each half-line in v = sqrt(q) e^{|x|} (see _integrate).
+  forward_fit_defect and backward_defect check this path.
 
 Wave-basis dressing: the exact solutions deviate from pure Hankels by
 the opposite end's potential tail, a + q^2/u^4 term in each local wave
@@ -44,7 +52,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import h1vp, hankel1
+from scipy.special import h1vp, hankel1, jv, jvp
 
 from .channels import (
     ChannelSolution,
@@ -56,6 +64,7 @@ from .channels import (
 )
 from .errors import ConfigError, FitDegenerateError
 from .oracle import _lstsq_two_column, _run_stage
+from .specfun import hankel1_ladder
 
 __all__ = [
     "QuarticConfig",
@@ -79,8 +88,11 @@ _START_BIAS = 1e-9
 # q^0.4 (a 21-mode run takes seconds at q = 1e4), and past q ~ 4e18 the
 # start point _start_w(q) falls below sqrt(q), i.e. on the wrong side of x = 0.
 Q_MAX = 1e4
+# Largest q whose default T comes from Floquet data (no ODE): the range checked against
+# 40-digit references and the inward solve.  Above it the default is the inward solve at 1e-8.
+Q_SPECTRAL = 30.0
 _CACHE_SIZE = 128
-_cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first
+_cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first; tol None: Floquet
 
 
 @dataclass(frozen=True)
@@ -157,14 +169,19 @@ class ConnectionMatrix:
     q: float
 
     def __post_init__(self) -> None:
-        t = self.entries
-        if not np.all(np.isfinite(t)):
-            raise FitDegenerateError(f"connection matrix has non-finite entries (nu={self.nu})")
-        det = np.linalg.det(t)
+        if not np.all(np.isfinite(self.entries)):
+            raise FitDegenerateError(f"connection matrix has non-finite entries (nu={self.nu}, q={self.q})")
+        a3, b3, a4, b4, s3, s4 = self._scaled()
         # entries beyond ~1e7 cannot resolve det = -1: their det is rounding noise
-        floor = 1e-15 * (abs(t[0, 0] * t[1, 1]) + abs(t[0, 1] * t[1, 0]))
-        if abs(det) < 1e-6 and floor < 1e-6:
+        det = abs(a3 * b4 - a4 * b3) * s3 * s4
+        if det < 1e-6 and 1e-15 * (abs(a3 * b4) + abs(a4 * b3)) * s3 * s4 < 1e-6:
             raise FitDegenerateError(f"connection matrix is singular (det={det})")
+
+    def _scaled(self) -> tuple:
+        """(a3, b3, a4, b4), each column over its largest |entry|, and the two divisors."""
+        s3, s4 = (float(v) for v in np.abs(self.entries).max(axis=0))
+        (a3, a4), (b3, b4) = self.entries.tolist()  # Python complex: inf, not overflow warnings
+        return a3 / (s3 or 1.0), b3 / (s3 or 1.0), a4 / (s4 or 1.0), b4 / (s4 or 1.0), s3, s4
 
     @property
     def flux_defects(self) -> tuple[float, float, float]:
@@ -173,14 +190,15 @@ class ConnectionMatrix:
         Scaled by the column magnitudes: for small q the entries grow like
         q^{-nu}, and |b|^2 - |a|^2 = 1 then sits below the floating-point
         cancellation floor of the squares even though a/b stays accurate.
+        Columns are divided by their largest entry before squaring (no overflow).
         """
-        t = self.entries
-        s3 = max(1.0, abs(t[0, 0]) ** 2 + abs(t[1, 0]) ** 2)
-        s4 = max(1.0, abs(t[0, 1]) ** 2 + abs(t[1, 1]) ** 2)
-        f3 = abs(t[1, 0]) ** 2 - abs(t[0, 0]) ** 2
-        f4 = abs(t[0, 1]) ** 2 - abs(t[1, 1]) ** 2
-        det = np.linalg.det(t)
-        return abs(f3 - 1.0) / s3, abs(f4 - 1.0) / s4, abs(det + 1.0) / math.sqrt(s3 * s4)
+        a3, b3, a4, b4, s3, s4 = self._scaled()
+        r3, r4 = 1.0 / s3, 1.0 / s4  # the unit flux of each column, in its scaled units
+        n3 = max(r3 * r3, abs(a3) ** 2 + abs(b3) ** 2)
+        n4 = max(r4 * r4, abs(a4) ** 2 + abs(b4) ** 2)
+        f3, f4 = abs(b3) ** 2 - abs(a3) ** 2, abs(a4) ** 2 - abs(b4) ** 2
+        det = a3 * b4 - a4 * b3
+        return abs(f3 - r3 * r3) / n3, abs(f4 - r4 * r4) / n4, abs(det + r3 * r4) / math.sqrt(n3 * n4)
 
 
 def _wave_dressing_scalar(q: float, u: float) -> tuple[complex, complex]:
@@ -270,8 +288,8 @@ def _mirror_matrix(f: complex, g: complex, wronskian: float, nu: float, q: float
     """T = M^{-1} diag(1, -1) M for M = [[f, conj f], [g, conj g]], written out.
 
     det M = 2i Im(f conj g) = 2i wronskian.  The Wronskian is conserved, so
-    it is taken from the start point: at x = 0 orders nu >> sqrt(q) have
-    |f| |g| near 1e22, and Im(f conj g) there cancels to rounding noise.
+    it is -2/pi exactly or taken from the start point: at x = 0 orders
+    nu >> sqrt(q) have |f| |g| near 1e22, and Im(f conj g) cancels there.
     """
     fg = f * g.conjugate()
     t = np.array([[2.0 * fg.real, 2.0 * (f * g).conjugate()], [-2.0 * f * g, -2.0 * fg.real]])
@@ -282,18 +300,110 @@ def _mirror_matrix(f: complex, g: complex, wronskian: float, nu: float, q: float
     return matrix
 
 
-def connection_matrices(cfg: QuarticConfig, ms, tol: float = 1e-8) -> list:
-    """Connection matrices of modes ms; one inward solve covers all uncached orders.
+def _floquet_start(nu0: float, q: float) -> complex:
+    """Characteristic exponent of (a = nu0^2, q), unrefined, from a companion matrix.
 
-    T depends on (nu, q, tol) only and is cached on that key: mass and the
-    sign of m - beta do not enter.
+    ((nu + 2n)^2 - a) c_n + q (c_{n-1} + c_{n+1}) = 0 is nu^2 c + nu D c + K c = 0,
+    D = diag(4n), K = diag(4n^2 - a) + q (ones off the diagonal).  Roots whose
+    eigenvector reaches the truncation edge are dropped; the rest (+-nu + 2k or
+    conjugates) move by 2k to peak at n = 0, take Re, Im >= 0, and the one nearest nu0 wins.
     """
-    if tol < 1e-10:
-        raise ConfigError(f"tol must be >= 1e-10, got {tol}")
+    n = 8 + math.ceil(math.sqrt(q))
+    k = np.arange(-n, n + 1)
+    stiff = np.diag(4.0 * k * k - nu0 * nu0) + q * (np.eye(2 * n + 1, k=1) + np.eye(2 * n + 1, k=-1))
+    roots, vectors = np.linalg.eig(np.block([[0.0 * stiff, np.eye(2 * n + 1)], [-stiff, -np.diag(4.0 * k)]]))
+    c = np.abs(vectors[: 2 * n + 1])
+    inside = c[[0, 1, -2, -1]].sum(axis=0) < 1e-4 * c.max(axis=0)
+    if not inside.any():
+        raise FitDegenerateError(f"no Floquet exponent resolved (nu={nu0}, q={q})")
+    roots = roots[inside] + 2 * (np.argmax(c[:, inside], axis=0) - n)
+    roots = np.abs(roots.real) + 1j * np.abs(roots.imag)
+    return complex(roots[np.argmin(np.abs(roots - nu0))])
+
+
+def _floquet(nu0: float, q: float) -> tuple[complex, np.ndarray]:
+    """(nu, c): characteristic exponent of (a = nu0^2, q) and c_{2n}, n = -N..N, c_0 = 1.
+
+    Newton on det(H - a), H = diag((nu + 2n)^2) + q (ones off the diagonal),
+    whose log-derivative is tr((H - a)^{-1} diag(2 (nu + 2n))).  Near an integer
+    k the roots k +- t pair up, t real (stable) or imaginary (instability band);
+    the companion cannot tell which when t is tiny, so Newton then starts off
+    both axes and real t^2 decides.  c is the smallest right singular vector of
+    H - a, which is defective at a band centre; of k +- t, the one whose c_0 is
+    within 10 of the peak is kept (the other's c_0 can be 1e-48 of it).
+    """
+    a = nu0 * nu0
+    nu = _floquet_start(nu0, q)
+    k = round(nu.real)
+    if abs(nu - k) < 1e-7:  # keep the side of k, leave the real axis
+        nu = k + math.copysign(max(abs(nu.real - k), 1e-9), nu.real - k) + 1e-9j
+    n = 20 + math.ceil(math.sqrt(q))
+    shift = 2.0 * np.arange(-n, n + 1)
+    hill = q * (np.eye(2 * n + 1, k=1) + np.eye(2 * n + 1, k=-1)) + 0j
+    for _ in range(60):
+        np.fill_diagonal(hill, (nu + shift) ** 2 - a)
+        step = 1.0 / (np.linalg.inv(hill).diagonal() @ (2.0 * (nu + shift)))
+        if abs(step) <= 1e-14 * max(1.0, abs(nu)):
+            break
+        nu -= step * min(1.0, 0.25 / abs(step))
+    k = round(nu.real)
+    t2 = ((nu - k) ** 2).real
+    nu = k + (complex(math.copysign(math.sqrt(t2), nu.real - k)) if t2 >= 0.0 else 1j * math.sqrt(-t2))
+    for _ in range(2):
+        np.fill_diagonal(hill, (nu + shift) ** 2 - a)
+        inv = np.linalg.inv(hill)
+        c = np.ones(2 * n + 1, dtype=complex)
+        for _ in range(3):  # inverse iteration on (H - a)^H (H - a)
+            c = inv @ (inv.conj().T @ c)
+            c /= c[np.argmax(np.abs(c))]
+        if abs(c[n]) >= 0.1:  # c_0 near the peak: a usable normalization
+            break
+        nu = complex(abs(nu.real + 2 * (int(np.argmax(np.abs(c))) - n)), abs(nu.imag))
+    if abs(c[n]) < 0.1 or np.max(np.abs(hill @ c)) > 1e-10 * (1.0 + a + 2.0 * q):  # also: Newton stalled
+        raise FitDegenerateError(f"Floquet exponent not resolved (nu={nu0}, q={q})")
+    return nu, c / c[n]
+
+
+def _core_values(nu0: float, q: float) -> tuple[complex, complex]:
+    """(f+, df+/dx) at x = 0 by the series in the module docstring (DLMF 28.23).
+
+    df+/dx takes sqrt(q) (J_n H1'_{nu+n} - J_n' H1_{nu+n}); |c_2n| < 1e-20 is dropped.
+    """
+    nu, c = _floquet(nu0, q)
+    keep = np.nonzero(np.abs(c) >= 1e-20)[0]
+    n = np.arange(keep[0], keep[-1] + 1) - len(c) // 2
+    c = c[keep[0] : keep[-1] + 1]
+    x = math.sqrt(q)
+    if nu.imag > 0.0:  # an instability band: nu = k + i mu
+        h, hd = hankel1_ladder(nu.imag, x, round(nu.real) + n[0], round(nu.real) + n[-1])
+    else:
+        h, hd = hankel1(nu.real + n, x), h1vp(nu.real + n, x)
+    w = np.where(n % 2, -c, c) * cmath.exp(0.5j * math.pi * (nu - nu0))
+    jn, jd = jv(n, x), jvp(n, x)
+    return complex(w @ (jn * h)), complex(x * (w @ (jn * hd - jd * h)))
+
+
+def connection_matrices(cfg: QuarticConfig, ms, tol: float | None = None) -> list:
+    """Connection matrices of modes ms.
+
+    tol=None, the default, takes T from Floquet data for q <= Q_SPECTRAL,
+    with no ODE, and from the inward solve at tol 1e-8 above it.  A float
+    tol always runs the inward solve at that tolerance; one solve covers
+    all uncached orders.  T depends on (nu, q, tol) only and is cached on
+    that key: mass and the sign of m - beta do not enter.
+    """
     q = cfg.q
+    if tol is None and q > Q_SPECTRAL:
+        tol = 1e-8
+    if tol is not None and tol < 1e-10:
+        raise ConfigError(f"tol must be >= 1e-10, got {tol}")
     keys = [(abs(m - cfg.beta), q, tol) for m in ms]
     todo = sorted({key for key in keys if key not in _cache})
-    if todo:
+    if todo and tol is None:
+        with np.errstate(all="ignore"):  # past the double range T is inf or nan and says so
+            for key in todo:  # f- = conj f+ for real a and q: the Wronskian is exact
+                _cache[key] = _mirror_matrix(*_core_values(key[0], q), -2.0 / math.pi, key[0], q)
+    elif todo:
         nus = np.array([key[0] for key in todo])
         u0 = _start_w(q)
         val, der = _outgoing(nus, q, u0)  # d/dx = u d/du on this side
@@ -309,7 +419,7 @@ def connection_matrices(cfg: QuarticConfig, ms, tol: float = 1e-8) -> list:
     return found
 
 
-def connection_matrix(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> ConnectionMatrix:
+def connection_matrix(cfg: QuarticConfig, m: int, tol: float | None = None) -> ConnectionMatrix:
     """Map origin-side wave coefficients to infinity-side ones for mode m."""
     return connection_matrices(cfg, [m], tol)[0]
 
@@ -401,8 +511,8 @@ def _solution(cfg: QuarticConfig, m: int, model, conn) -> ChannelSolution:
     return ChannelSolution(mode=mode, a=a_m, b=b_m, s_matrix=s, sigma_abs=sigma, _cfg=cfg)
 
 
-def quartic_smatrices(cfg: QuarticConfig, ms, model, tol: float = 1e-8) -> list:
-    """Solve modes ms of the rho^-4 channel under model, in order, in at most one ODE solve."""
+def quartic_smatrices(cfg: QuarticConfig, ms, model, tol: float | None = None) -> list:
+    """Solve modes ms of the rho^-4 channel under model, in order; tol as in connection_matrices."""
     ms = list(ms)
     window = set(cfg.required_modes(model))  # S = 0 there: no connection matrix needed
     need = [m for m in ms if m not in window]
@@ -410,12 +520,12 @@ def quartic_smatrices(cfg: QuarticConfig, ms, model, tol: float = 1e-8) -> list:
     return [_solution(cfg, m, model, conns.get(m)) for m in ms]
 
 
-def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float = 1e-8) -> ChannelSolution:
+def quartic_smatrix(cfg: QuarticConfig, m: int, model, tol: float | None = None) -> ChannelSolution:
     """Solve one mode of the rho^-4 channel under the given boundary model."""
     return quartic_smatrices(cfg, [m], model, tol)[0]
 
 
-def capture_probability(cfg: QuarticConfig, m: int, tol: float = 1e-8) -> float:
+def capture_probability(cfg: QuarticConfig, m: int, tol: float | None = None) -> float:
     """1 - |S_m|^2 for the purely infalling (capture) boundary condition."""
     return cfg.p * quartic_smatrix(cfg, m, Sink(), tol).sigma_abs
 

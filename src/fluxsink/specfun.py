@@ -25,6 +25,8 @@ reflection of H1, H2_mu = conj H1_mu and H2_{i mu} = e^{-mu pi} conj H1_{i mu}
 
 Supported box: order magnitude mu <= 50 and 0 < x <= 1e4.  Outside it the
 functions raise RangeError rather than silently losing digits.
+hankel1_ladder carries one pair of order i*mu to the complex orders
+k + i*mu by recurrence, for the quartic core's instability bands.
 
 Conventions (fixed package-wide): time dependence e^{-iEt}, so
 H^{(1)}_nu(x) ~ sqrt(2/(pi x)) e^{+i(x - nu pi/2 - pi/4)} is the outgoing
@@ -246,16 +248,17 @@ def _h1_imag(mu: float, x: float) -> tuple[complex, complex]:
     """(H1, H1') of order i*mu, routed by region.
 
     Below the asymptotic edge H1 = (e^{mu pi} J - conj J) / sinh(mu pi),
-    with conj(J_{i mu}) = J_{-i mu} for real argument.  No cancellation:
-    the two terms differ in scale by e^{mu pi} (large mu), or the quotient
-    is O(1/mu) against an O(mu) denominator (small mu).
+    with conj(J_{i mu}) = J_{-i mu} for real argument, written as
+    ((e^{mu pi} - 1) J + 2i Im J) / sinh(mu pi) so that small mu loses
+    nothing: e^{mu pi} - 1 comes from expm1, and Im J = O(mu) is carried
+    to full relative precision by the series.
     """
     if x >= _asym_edge(mu):
         return _hankel_asym_imag(mu, x)
     j, jd = _j_imag_series(mu, x)
-    ep = math.exp(mu * math.pi)
+    em = math.expm1(mu * math.pi)
     sh = math.sinh(mu * math.pi)
-    return (ep * j - j.conjugate()) / sh, (ep * jd - jd.conjugate()) / sh
+    return (em * j + 2j * j.imag) / sh, (em * jd + 2j * jd.imag) / sh
 
 
 def _reflect(order: Order, h: complex) -> complex:
@@ -313,6 +316,25 @@ def hankel_pair(kind: int, order: Order, x: float) -> tuple[complex, complex]:
 def hankel(kind: int, order: Order, x: float) -> complex:
     """Hankel function H^{(kind)}_nu(x)."""
     return hankel_pair(kind, order, x)[0]
+
+
+def hankel1_ladder(mu: float, x: float, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H1, H1') of the complex orders k + i mu, k = k_lo..k_hi, at x.
+
+    The pair of order v = i mu starts H_{v+1} + H_{v-1} = (2v/x) H_v (first
+    steps H_{v-+1} = (v/x) H_v -+ H'_v) up and down from k = 0; H1 grows with
+    |k| both ways, so both runs are stable.  H'_v = H_{v-1} - (v/x) H_v.
+    Past the double range values are inf or nan, for the caller to check.
+    """
+    h, hd = hankel_pair(1, Order.imaginary(mu), x)
+    vals = {0: h, 1: (1j * mu / x) * h - hd, -1: (1j * mu / x) * h + hd}
+    for k in range(1, k_hi):
+        vals[k + 1] = (2.0 * (k + 1j * mu) / x) * vals[k] - vals[k - 1]
+    for k in range(-1, k_lo - 1, -1):
+        vals[k - 1] = (2.0 * (k + 1j * mu) / x) * vals[k] - vals[k + 1]
+    ks = range(k_lo, k_hi + 1)
+    out = np.array([vals[k] for k in ks])
+    return out, np.array([vals[k - 1] for k in ks]) - ((np.array(ks) + 1j * mu) / x) * out
 
 
 def wronskian_check(order: Order, x: float) -> float:

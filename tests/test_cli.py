@@ -7,8 +7,10 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
+import scipy.integrate
 
 from fluxsink import channels, cli, oracle, quartic, scenario, specfun
 from fluxsink.errors import ConfigError
@@ -438,26 +440,63 @@ def test_quartic_sink_run(tmp_path):
     assert 0.0 < float(row[7]) < 1.0  # partial capture, p = 1
 
 
-def test_quartic_run_is_one_batched_solve(tmp_path, monkeypatch):
-    # beta = 0: five modes but three orders |m|, all in one inward solve
+def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
+    # beta = 0: five modes but three orders |m|; the default connection
+    # comes from Floquet data, so the run makes no solve_ivp call at all
     calls = []
-    solve_ivp = oracle.solve_ivp
+    solve_ivp = scipy.integrate.solve_ivp
 
     def counting_solve_ivp(*args, **kwargs):
         calls.append(args)
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
     monkeypatch.setattr(quartic, "_cache", {})
     text = _scenario_text(
         kind="inverse_quartic", beta=0.0, lam=1.3, p=1.0,
         model="kind = sink", m_range="-2:2", path=str(tmp_path / "out"),
     )
     assert cli.main(["run", _write(tmp_path, "qb.ini", text)]) == 0
-    assert len(calls) == 1
+    assert calls == []
     rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
     s = {int(r.split(",")[0]): complex(*map(float, r.split(",")[4:6])) for r in rows}
     assert abs(s[-2] - s[2]) <= 1e-14 and abs(s[-1] - s[1]) <= 1e-14  # shared T
+
+
+def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
+    # the import, and a default lam = 2 quartic run (21 modes), in a fresh interpreter
+    path = _write(tmp_path, "q2.ini", _scenario_text(
+        kind="inverse_quartic", lam=2.0, p=1.0, model="kind = sink", phi_samples=721,
+        path=str(tmp_path / "out"),
+    ))
+    code = (
+        "import sys, fluxsink, fluxsink.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        f"assert fluxsink.cli.main(['run', {path!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'run'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+    assert len((tmp_path / "out" / "modes.csv").read_text().splitlines()) == 22
+
+
+def test_wide_quartic_ranges_end_cleanly(tmp_path, capsys):
+    # |f g| ~ 1e180 at nu = 60.3 (q = 2): the connection checks scale before
+    # squaring; past nu ~ 90 T overflows and the run stops on one line
+    text = _scenario_text(
+        kind="inverse_quartic", beta=0.3, lam=2.0, p=1.0,
+        model="kind = sink", m_range="-60:60", path=str(tmp_path / "out"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, "w60.ini", text)]) == 0
+    rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 121
+    assert all(math.hypot(*map(float, r.split(",")[4:6])) <= 1.0 + 1e-12 for r in rows)
+    capsys.readouterr()
+    text = text.replace("-60:60", "-200:200")
+    assert cli.main(["run", _write(tmp_path, "w200.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "q=2" in err, err
 
 
 def test_custom_model_run(tmp_path):

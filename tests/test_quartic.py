@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxsink import oracle, quartic
+from fluxsink import quartic
 from fluxsink.errors import ConfigError, FitDegenerateError
 from fluxsink.channels import Custom
 from fluxsink.quartic import (
@@ -24,6 +27,23 @@ from fluxsink.quartic import (
 )
 
 Q1 = QuarticConfig(beta=0.0, lam=1.0, p=1.0)  # q = 1 reference point
+
+# (beta, q, m, S sink, S elastic(theta = 1.1)) at p = 1, from
+# tests/make_floquet_reference.py (mpmath, 40 digits)
+FLOQUET_REFERENCE = (
+    (0.3, 0.3, -2, (0.5936125956286274-0.804733980267093j), (0.5936151582256532-0.8047490564919804j)),
+    (0.3, 2.0, 0, (-0.08983757202064913-0.056917500237231085j), (0.3101713125325457+0.9506806808186636j)),
+    (0.3, 8.0, 2, (0.019757449114389366+0.009727278685842266j), (0.6013277828120763-0.7990024390565478j)),
+    (0.3, 30.0, -9, (0.9959221959401379+0.08688425740701754j), (0.9962150473978066+0.08692283553926326j)),
+    (0.0, 0.0001, 0, (0.9003319957290451-0.29955686506972584j), (0.9360478356595859-0.35187277439012654j)),
+    (0.0, 0.0001, 1, (0.9999999876629888+7.612239174181002e-08j), (0.9999999999999976+6.984324952368172e-08j)),
+    (0.0, 0.0001, 2, (1+1.3089969520545595e-09j), (1+1.3089969510734434e-09j)),
+    (0.0, 2.0, -2, (0.6238736982807754+0.3806664599157619j), (0.8842790672950969+0.46695881097128206j)),
+    (0.0, 0.3, 7, (0.9999999778696019+0.00021038249845221104j), (0.9999999778696019+0.00021038249845221104j)),
+    (0.1957611404423356, 30.0, 4, (0.0007763373084243853+0.0006910229347345131j), (0.9949623177242772-0.10024961999296723j)),
+    (0.0, 0.005064456830183533, -11, (0.9999999999999999+1.526095451504886e-08j), (0.9999999999999999+1.526095451504886e-08j)),
+    (7.123056334383823e-08, 0.00023157896270033576, 10, (0.9999999999999749+2.2381995994082103e-07j), (0.9999999999999749+2.2381995994082103e-07j)),
+)
 
 
 def test_config_validation():
@@ -118,14 +138,14 @@ def test_inward_solve_work_follows_local_wavelength(monkeypatch):
     # the inward solve costs about (u0 - sqrt q) / cap DOP853 steps of 12
     # RHS calls; a cap set by the fast end u0 needs about x0 times more
     nfev = []
-    solve_ivp = oracle.solve_ivp
+    solve_ivp = scipy.integrate.solve_ivp
 
     def counting_solve_ivp(*args, **kwargs):
         res = solve_ivp(*args, **kwargs)
         nfev.append(res.nfev)
         return res
 
-    monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
     monkeypatch.setattr(quartic, "_cache", {})
     cfg = QuarticConfig(beta=0.3, lam=8.0, p=1.0)
     tol = 1e-8
@@ -261,3 +281,47 @@ def test_high_orders_finite_and_approach_pure_flux(monkeypatch, p, model):
     for side in (range(3, 13), range(-3, -13, -1)):
         tail = [dev[m] for m in side]
         assert all(a > b for a, b in zip(tail, tail[1:])), (side, tail)
+
+
+@pytest.mark.parametrize("beta,q,m,sink,elastic", FLOQUET_REFERENCE)
+def test_floquet_matches_40_digit_reference(monkeypatch, beta, q, m, sink, elastic):
+    # stable and instability bands, beta = 0 integer orders down to
+    # mu = 4.7e-10, a band centre, where the Hill matrix is defective, and
+    # orders within 1e-7 of an integer
+    monkeypatch.setattr(quartic, "_cache", {})
+    cfg = QuarticConfig(beta=beta, lam=q, p=1.0)
+    assert abs(quartic_smatrix(cfg, m, Sink()).s_matrix - sink) <= 1e-10
+    assert abs(quartic_smatrix(cfg, m, Elastic(theta=1.1)).s_matrix - elastic) <= 1e-10
+
+
+def test_default_connection_is_floquet_up_to_q_spectral(monkeypatch):
+    monkeypatch.setattr(quartic, "_cache", {})
+    for q, tol in ((quartic.Q_SPECTRAL, None), (1.01 * quartic.Q_SPECTRAL, 1e-8)):
+        connection_matrix(QuarticConfig(beta=0.3, lam=q, p=1.0), 1)
+        assert list(quartic._cache) == [(0.7, q, tol)]
+        quartic._cache.clear()
+
+
+@pytest.mark.parametrize("q", [0.3, 2.0, 8.0, 30.0])
+def test_floquet_matches_inward_solve(q):
+    # the inward solve at tol 1e-10 is good to ~7e-9 here, the Floquet S to ~1e-14
+    for beta in (0.0, 0.3):
+        cfg = QuarticConfig(beta=beta, lam=q, p=1.0)
+        for model in (Sink(), Elastic(theta=1.1)):
+            ode = quartic.quartic_smatrices(cfg, range(-12, 13), model, tol=1e-10)
+            floquet = quartic.quartic_smatrices(cfg, range(-12, 13), model)
+            assert max(abs(a.s_matrix - b.s_matrix) for a, b in zip(ode, floquet)) <= 1e-8, (beta, model)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    log_q=st.floats(-4.0, math.log10(quartic.Q_SPECTRAL)),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    m=st.integers(-12, 12),
+)
+def test_floquet_unitarity_property(log_q, beta, m):
+    cfg = QuarticConfig(beta=beta, lam=min(10.0**log_q, quartic.Q_SPECTRAL), p=1.0)
+    sink = quartic_smatrix(cfg, m, Sink())
+    assert abs(sink.s_matrix) <= 1.0 + 1e-12 and sink.sigma_abs >= 0.0
+    elastic = quartic_smatrix(cfg, m, Elastic(theta=1.1))
+    assert abs(abs(elastic.s_matrix) - 1.0) <= 1e-12
