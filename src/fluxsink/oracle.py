@@ -17,6 +17,12 @@ tau^{2.4}: halving the tolerance then shrinks S-matrix errors by ~5x,
 comfortably beating the factor-4 refinement contract, which pure
 adaptive stepping (error ~ tau^{7/8}) cannot meet.
 
+Both stages run on _dop853: DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6) with scipy's tableau and step controller in plain
+Python complex arithmetic on (R, dR).  It takes solve_ivp's steps without
+its generic n-vector machinery (~230 us a step against ~3 us for this
+right-hand side), so the oracle runs 2-4x faster.
+
 Large-rho fits use the correction-dressed wave basis
 
     g_out/in = e^{+-i(p rho - pi/4)} / sqrt(rho) * sum_k (+-i)^k a_k (p rho)^{-k}
@@ -29,6 +35,7 @@ residual budget.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,25 +170,108 @@ def init_for_model(
 # ---------------------------------------------------------------------
 
 
-def _run_stage(rhs, t0, t1, y0, t_eval, tol, max_step, what):
-    from scipy.integrate import solve_ivp  # imported on first use: a default quartic run needs no ODE
+@functools.cache
+def _tableau() -> tuple:
+    """scipy's DOP853 (C, A, E5, E3, D), rows as (j, coefficient) pairs; A row 12 is B, 13..15 dense output."""
+    from scipy.integrate._ivp import dop853_coefficients as dc  # first use only
 
-    res = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=tol,
-        atol=1e-3 * tol * max(np.max(np.abs(y0)), 1e-30),
-        max_step=max_step,
-        dense_output=False,
-    )
-    if not res.success:
-        raise StiffnessError(f"{what} stage failed near t={res.t[-1] if len(res.t) else t0}: {res.message}")
-    if not np.all(np.isfinite(res.y)):
-        raise StiffnessError(f"{what} stage produced non-finite values")
-    return res
+    def rows(m):
+        return tuple(tuple((j, float(v)) for j, v in enumerate(row) if v) for row in m)
+
+    return (tuple(dc.C.tolist()), rows(dc.A), *rows([dc.E5, dc.E3]), rows(dc.D))
+
+
+def _combine(row, kr, kd) -> tuple[complex, complex]:
+    """sum_j w_j k_j over the (j, w_j) pairs of row, for both components."""
+    sr = sd = 0j
+    for j, w in row:
+        sr += w * kr[j]
+        sd += w * kd[j]
+    return sr, sd
+
+
+def _dop853(rhs, t0: float, t1: float, y0, t_eval, tol: float, max_step: float, what: str):
+    """(R, dR, nfev) of (R, dR)' = rhs(t, R, dR) at the ascending points t_eval in [t0, t1], t0 < t1.
+
+    The steps and, up to rounding, the values of solve_ivp(method="DOP853", rtol=tol, atol=1e-3 tol max|y0|).
+    """
+    c, a, e5, e3, d = _tableau()
+    r, dr = complex(y0[0]), complex(y0[1])
+    rtol, atol = tol, 1e-3 * tol * max(abs(r), abs(dr), 1e-30)
+
+    def rms(x, y):  # over the scale (sr, sd)
+        return math.sqrt(0.5 * (abs(x / sr) ** 2 + abs(y / sd) ** 2))
+
+    # select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), error order 7
+    fr, fd = rhs(t0, r, dr)
+    sr, sd = atol + abs(r) * rtol, atol + abs(dr) * rtol
+    d0, d1 = rms(r, dr), rms(fr, fd)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+    gr, gd = rhs(t0 + h0, r + h0 * fr, dr + h0 * fd)
+    d2 = rms(gr - fr, gd - fd) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs, nfev = min(100.0 * h0, h1, t1 - t0, max_step), 2
+
+    t, t_eval, i_eval, out = t0, list(t_eval), 0, []
+    while t < t1:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"{what} stage failed near t={t}: Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            kr, kd = [fr], [fd]
+            for s in range(1, 13):  # A row 12 is B: the last stage is f(t + h, y_new)
+                sr, sd = _combine(a[s], kr, kd)
+                r_new, dr_new = r + sr * h, dr + sd * h
+                x, y = rhs(t + c[s] * h, r_new, dr_new)
+                kr.append(x)
+                kd.append(y)
+            nfev += 12
+            # the combined E5/E3 error norm, scaled by atol + rtol max(|y|, |y_new|)
+            sr, sd = atol + max(abs(r), abs(r_new)) * rtol, atol + max(abs(dr), abs(dr_new)) * rtol
+            err5, err3 = rms(*_combine(e5, kr, kd)) ** 2, rms(*_combine(e3, kr, kd)) ** 2
+            err = 0.0 if err5 == 0.0 and err3 == 0.0 else h * err5 / math.sqrt(err5 + 0.01 * err3)
+            if err != err:  # nan: the state went non-finite
+                raise StiffnessError(f"{what} stage produced non-finite values")
+            factor = 10.0 if err == 0.0 else 0.9 * err**-0.125  # SAFETY 0.9, MAX_FACTOR 10
+            if err < 1.0:
+                h_abs *= min(1.0 if rejected else 10.0, factor)  # no growth right after a rejection
+                break
+            h_abs *= max(0.2, factor)  # MIN_FACTOR
+            rejected = True
+
+        if i_eval < len(t_eval) and t_eval[i_eval] <= t_new:
+            # dense output: three more stages and the 7-term interpolant
+            for s in (13, 14, 15):
+                sr, sd = _combine(a[s], kr, kd)
+                x, y = rhs(t + c[s] * h, r + sr * h, dr + sd * h)
+                kr.append(x)
+                kd.append(y)
+            nfev += 3
+            ur, ud = r_new - r, dr_new - dr
+            poly = [(ur, ud), (h * fr - ur, h * fd - ud), (2.0 * ur - h * (kr[12] + fr), 2.0 * ud - h * (kd[12] + fd))]
+            poly += [(h * pr, h * pd) for pr, pd in (_combine(row, kr, kd) for row in d)]
+            while i_eval < len(t_eval) and t_eval[i_eval] <= t_new:
+                x = (t_eval[i_eval] - t) / h
+                vr = vd = 0j
+                for (pr, pd), f in zip(poly[::-1], (x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x)):
+                    vr, vd = (vr + pr) * f, (vd + pd) * f
+                out.append((r + vr, dr + vd))
+                i_eval += 1
+        t, r, dr, fr, fd = t_new, r_new, dr_new, kr[12], kd[12]
+
+    return (*np.array(out, dtype=complex).reshape(-1, 2).T, nfev)
+
+
+def _check_tol(tol) -> None:
+    """Refuse an ODE tolerance outside [1e-10, 1e-3]: nan would never finish a step."""
+    if not 1e-10 <= tol <= 1e-3:  # nan fails too
+        raise ConfigError(f"tol must be finite and in [1e-10, 1e-3], got {tol}")
 
 
 def integrate_radial(
@@ -198,52 +288,46 @@ def integrate_radial(
     returned grid is log-spaced inside the oscillation-free core region
     and carries >= 40 points per wavelength beyond it.
     """
+    _check_tol(tol)
     if rho_in is None:
         rho_in = default_rho_in(cfg)
     if not 0.0 < rho_in < rho_out:
         raise ConfigError(f"need 0 < rho_in < rho_out, got [{rho_in}, {rho_out}]")
-    nu2 = mode.nu_squared
-    p2 = cfg.p**2
+    nu2, p2 = mode.nu_squared, cfg.p**2
     cap = min(0.9, 26.5 * tol**0.3)
 
     split = min(2.0 / cfg.p, rho_out)
-    rho_log = np.array([])
-    y_split = np.asarray([complex(init[0]), complex(init[1])])
-    vals_log = derivs_log = np.array([])
+    rho, vals, ders = np.array([]), np.array([], dtype=complex), np.array([], dtype=complex)
+    y = (complex(init[0]), complex(init[1]))
 
     if split > rho_in * (1 + 1e-12):
         x0, x1 = math.log(rho_in), math.log(split)
         n = max(60, int(40 * (x1 - x0) / math.log(10.0)) + 1)
         xs = np.linspace(x0, x1, n)
 
-        def rhs_log(x, y):
+        def rhs_log(x, r, dr):
             # R_xx + (p^2 e^{2x} - nu^2) R = 0
-            r = math.exp(x)
-            return [y[1], (nu2 - p2 * r * r) * y[0]]
+            e = math.exp(x)
+            return dr, (nu2 - p2 * e * e) * r
 
-        y0 = [complex(init[0]), complex(init[1]) * rho_in]  # dR/dx = rho dR/drho
-        res = _run_stage(rhs_log, x0, x1, np.asarray(y0, dtype=complex), xs, tol, cap, "log-radius")
-        rho_log = np.exp(res.t)
-        vals_log = res.y[0]
-        derivs_log = res.y[1] / rho_log  # back to dR/drho
-        y_split = np.asarray([vals_log[-1], derivs_log[-1]])
+        vals, dx, _ = _dop853(rhs_log, x0, x1, (y[0], y[1] * rho_in), xs, tol, cap, "log-radius")
+        rho = np.exp(xs)
+        ders = dx / rho  # dR/dx = rho dR/drho
+        y = (vals[-1], ders[-1])
 
     if rho_out > split * (1 + 1e-12):
         wavelengths = (rho_out - split) * cfg.p / (2.0 * math.pi)
         n = max(80, int(POINTS_PER_WAVELENGTH * wavelengths) + 2)
         rs = np.linspace(split, rho_out, n)
 
-        def rhs_lin(r, y):
-            return [y[1], -y[1] / r + (nu2 / (r * r) - p2) * y[0]]
+        def rhs_lin(r, v, dv):
+            return dv, -dv / r + (nu2 / (r * r) - p2) * v
 
-        res = _run_stage(rhs_lin, split, rho_out, y_split, rs, tol, cap / cfg.p, "radius")
-        rho_all = np.concatenate([rho_log[:-1], res.t]) if rho_log.size else res.t
-        vals = np.concatenate([vals_log[:-1], res.y[0]]) if rho_log.size else res.y[0]
-        derivs = np.concatenate([derivs_log[:-1], res.y[1]]) if rho_log.size else res.y[1]
-    else:
-        rho_all, vals, derivs = rho_log, vals_log, derivs_log
+        vals_lin, ders_lin, _ = _dop853(rhs_lin, split, rho_out, y, rs, tol, cap / cfg.p, "radius")
+        # split ends the log grid and starts this one: keep it once
+        rho, vals, ders = np.append(rho[:-1], rs), np.append(vals[:-1], vals_lin), np.append(ders[:-1], ders_lin)
 
-    return RadialProfile(rho_grid=rho_all, values=vals, derivative_values=derivs)
+    return RadialProfile(rho_grid=rho, values=vals, derivative_values=ders)
 
 
 # ---------------------------------------------------------------------

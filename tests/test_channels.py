@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxsink import cli, quartic
 from fluxsink.channels import (
+    REGIME_EPS,
     Custom,
     Elastic,
     ElasticSubcritical,
@@ -440,3 +443,57 @@ def test_amplitudes_check_the_cone_before_the_modes():
         amplitudes(cfg, sols, [math.pi, 0.0])
     with pytest.raises(IncompleteRangeError):
         amplitudes(cfg, sols, [math.pi, 1.0])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    gamma=st.floats(0.0, 8.0),
+    log_p=st.floats(-2.0, 2.0),
+    edge=st.sampled_from(["none", "gamma", "upper"]),
+    log_off=st.floats(-9.0, -3.0),
+    below=st.booleans(),
+    left=st.booleans(),
+    kind=st.sampled_from(["sink", "elastic", "window", "custom"]),
+    u=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_inverse_square_unitarity_property(beta, gamma, log_p, edge, log_off, below, left, kind, u, phase):
+    # with edge set, one mode sits 1e-9..1e-3 outside REGIME_EPS of that regime edge:
+    # |m - beta| = d for m = ceil(d) (left) or -floor(d)
+    placed = None
+    if edge != "none":
+        off = REGIME_EPS + 10.0**log_off
+        d = gamma if edge == "gamma" else math.hypot(1.0, gamma)
+        d = d - off if below and d > off else d + off
+        beta, placed = (math.ceil(d) - d, math.ceil(d)) if left else (d - math.floor(d), -math.floor(d))
+    cfg = ScatteringConfig(beta=beta, gamma=gamma, p=10.0**log_p)
+    modes = [] if placed is None else [classify_mode(cfg, placed)]
+    for m in range(-12, 13):
+        try:
+            modes.append(classify_mode(cfg, m))
+        except DegenerateModeError:  # a drawn beta or gamma put this mode on an edge
+            assert m != placed
+    nonreg = nonregular_modes(cfg)
+    if kind == "sink" or (kind == "window" and not nonreg):  # a window needs non-Regular modes
+        model = Sink()
+    elif kind == "elastic":
+        model = Elastic(l=4.0 * u - 2.0, theta=phase)
+    elif kind == "window":
+        model = TotalAbsorption(
+            n_minus=int(u * max(0, -nonreg[0])), n_plus=int(phase / (2.0 * math.pi) * max(0, nonreg[-1]))
+        )
+    else:  # |S| <= 1 on every mode: |r| <= 1 (subcritical) or e^{-pi mu} (supercritical)
+        ratios = {}
+        for mode in modes:
+            bound = math.exp(-math.pi * mode.mu) if mode.regime == Regime.SUPERCRITICAL else 1.0
+            ratios[mode.m] = u * bound * cmath.exp(1j * (phase + mode.m))
+        model = Custom(ratios=ratios)
+    for mode in modes:
+        sol = solve_channel(cfg, mode, model)
+        mod = abs(sol.s_matrix)
+        assert mod <= 1.0 + 1e-12
+        if kind == "elastic" or mode.regime == Regime.REGULAR:
+            assert abs(mod - 1.0) <= 1e-12
+        assert sol.sigma_abs >= 0.0
+        assert abs(sol.sigma_abs - (1.0 - mod**2) / cfg.p) <= 3e-12 / cfg.p

@@ -22,6 +22,7 @@ from fluxsink.channels import (
 from fluxsink.errors import ConfigError, FitDegenerateError, StiffnessError
 from fluxsink.oracle import (
     RadialProfile,
+    _dop853,
     current_spread,
     default_rho_in,
     extract_smatrix,
@@ -135,6 +136,108 @@ def test_supercritical_sink_profile_matches_series():
     j, jd = bessel_j_pair(order, cfg.p * r)
     assert abs(prof.values[idx] - j.conjugate()) <= 1e-9
     assert abs(prof.derivative_values[idx] - cfg.p * jd.conjugate()) <= 1e-9
+
+
+# ---------------------------------------------------------------------
+# the DOP853 kernel against scipy's solve_ivp
+# ---------------------------------------------------------------------
+
+
+def _oracle_stage(stage, regime):
+    """(scalar rhs, solve_ivp rhs, t0, t1, y0, t_eval, step-cap scale) as integrate_radial builds them."""
+    if regime == Regime.SUPERCRITICAL:
+        cfg, m = ScatteringConfig(beta=0.4, gamma=0.8, p=1.3), 0
+    else:
+        cfg, m = ScatteringConfig(beta=0.3, gamma=0.5, p=0.9), 1
+    mode = classify_mode(cfg, m)
+    assert mode.regime == regime
+    nu2, p2 = mode.nu_squared, cfg.p**2
+    rho_in = default_rho_in(cfg)
+    r0, d0 = init_for_model(cfg, mode, Sink(), rho_in)
+    if stage == "log-radius":
+        def rhs(x, r, dr):
+            e = math.exp(x)
+            return dr, (nu2 - p2 * e * e) * r
+
+        t0, t1 = math.log(rho_in), math.log(2.0 / cfg.p)
+        n, y0, scale = max(60, int(40 * (t1 - t0) / math.log(10.0)) + 1), (r0, d0 * rho_in), 1.0
+    else:
+        def rhs(r, v, dv):
+            return dv, -dv / r + (nu2 / (r * r) - p2) * v
+
+        t0, t1 = 2.0 / cfg.p, 100.0 / cfg.p
+        n, y0, scale = 700, (0.3 - 1.2j, 0.8 + 0.1j), 1.0 / cfg.p
+    return rhs, lambda t, y: list(rhs(t, y[0], y[1])), t0, t1, y0, np.linspace(t0, t1, n), scale
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("regime", [Regime.SUPERCRITICAL, Regime.SUBCRITICAL])
+@pytest.mark.parametrize("stage", ["log-radius", "radius"])
+def test_dop853_matches_solve_ivp(stage, regime, tol):
+    from scipy.integrate import solve_ivp
+
+    rhs, rhs_vec, t0, t1, y0, t_eval, scale = _oracle_stage(stage, regime)
+    max_step = min(0.9, 26.5 * tol**0.3) * scale
+    y0 = np.asarray(y0, dtype=complex)
+    ref = solve_ivp(
+        rhs_vec, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=tol,
+        atol=1e-3 * tol * np.max(np.abs(y0)), max_step=max_step,
+    )
+    assert ref.success
+    vals, ders, nfev = _dop853(rhs, t0, t1, y0, t_eval, tol, max_step, stage)
+    assert nfev == ref.nfev  # the same steps, accepted and rejected
+    assert len(vals) == len(ders) == len(t_eval)
+    assert vals[0] == y0[0] and ders[0] == y0[1]  # t0 is the start state itself
+    for got, want in ((vals, ref.y[0]), (ders, ref.y[1])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(got[-1] - want[-1]) <= 1e-12 * abs(want[-1])  # t1
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_dop853_controller_matches_solve_ivp_across_rejections(tol):
+    # no step cap, and a coefficient jump at t = 1.3: the steps there are
+    # rejected hard, so MIN_FACTOR, SAFETY and the no-growth-after-a-rejection
+    # rule all set the step sequence (the oracle stages, capped, rarely reject)
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, r, dr):
+        return dr, -(1.0 if t < 1.3 else 400.0) * r
+
+    t_eval = np.linspace(1.0, 2.0, 30)
+    y0 = np.array([1.0 + 0.5j, 0.2j])
+    ref = solve_ivp(
+        lambda t, y: list(rhs(t, y[0], y[1])), (1.0, 2.0), y0, method="DOP853", t_eval=t_eval,
+        rtol=tol, atol=1e-3 * tol * np.max(np.abs(y0)),
+    )
+    vals, ders, nfev = _dop853(rhs, 1.0, 2.0, y0, t_eval, tol, math.inf, "jump")
+    assert nfev == ref.nfev
+    for got, want in ((vals, ref.y[0]), (ders, ref.y[1])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dop853_non_finite_state_names_the_stage():
+    t_eval = np.linspace(1.0, 2.0, 11)
+
+    def blows_up(t, r, dr):
+        return dr, (math.inf if t > 1.5 else -1.0) * r
+
+    with pytest.raises(StiffnessError, match="radius stage"):
+        _dop853(blows_up, 1.0, 2.0, (1.0, 0.0), t_eval, 1e-8, 0.1, "radius")
+    with pytest.raises(StiffnessError, match="log-radius stage produced non-finite values"):
+        _dop853(lambda t, r, dr: (dr, -r), 1.0, 2.0, (math.nan, 0.0), t_eval, 1e-8, 0.1, "log-radius")
+    cfg = ScatteringConfig(beta=0.4, gamma=0.8, p=1.3)
+    with pytest.raises(StiffnessError, match="log-radius stage"):
+        integrate_radial(cfg, classify_mode(cfg, 0), (complex(math.nan), 0j), rho_out=10.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6, 0.0, 1e-11, 1e-2])
+def test_oracle_refuses_bad_tolerances(tol):
+    cfg = ScatteringConfig(beta=0.4, gamma=0.8, p=1.3)
+    mode = classify_mode(cfg, 0)
+    with pytest.raises(ConfigError, match="tol"):
+        oracle_smatrix(cfg, mode, Sink(), tol=tol)
+    with pytest.raises(ConfigError, match="tol"):
+        integrate_radial(cfg, mode, (1.0, 0.0), rho_out=10.0, tol=tol)
 
 
 # ---------------------------------------------------------------------

@@ -93,6 +93,15 @@ def test_connection_tol_validation():
         connection_matrix(Q1, 0, tol=1e-11)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6, 0.0, 1e-11, 1e-2])
+def test_bad_tolerances_are_refused_before_any_solve(tol):
+    # nan used to hang the inward solve, inf to return an unconverged S
+    with pytest.raises(ConfigError, match="tol"):
+        quartic_smatrix(Q1, 0, Sink(), tol=tol)
+    with pytest.raises(ConfigError, match="tol"):
+        forward_fit_defect(Q1, 0, tol=tol)
+
+
 def test_backward_consistency():
     assert backward_defect(Q1, 0) <= 1e-5
 
