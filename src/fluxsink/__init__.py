@@ -24,7 +24,6 @@ from .channels import (
 from .errors import (
     ConfigError,
     DegenerateModeError,
-    DegenerateOrderError,
     FitDegenerateError,
     FluxsinkError,
     ForwardDirectionError,
@@ -53,7 +52,6 @@ __all__ = [
     "solve_channel",
     "ConfigError",
     "DegenerateModeError",
-    "DegenerateOrderError",
     "FitDegenerateError",
     "FluxsinkError",
     "ForwardDirectionError",

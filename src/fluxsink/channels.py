@@ -32,7 +32,7 @@ and the same classes serve the inverse-quartic core (quartic module).
 Each config class (ScatteringConfig here, QuarticConfig there) is the
 only place that knows its potential: scenario files, the CLI and the
 amplitude assembly go through its KIND, COUPLING, required_modes, solve
-and amplitudes (amplitude at one phi).
+and amplitudes.
 """
 
 from __future__ import annotations
@@ -138,9 +138,6 @@ class ScatteringConfig:
     def solve(self, ms, model) -> list:
         """ChannelSolutions of modes ms, in order, under the boundary model."""
         return [solve_channel(self, classify_mode(self, m), model) for m in ms]
-
-    def amplitude(self, solutions: list, phi: float) -> complex:
-        return amplitude(self, solutions, phi)
 
     def amplitudes(self, solutions: list, phis) -> list[complex]:
         return amplitudes(self, solutions, phis)

@@ -17,16 +17,8 @@ class RangeError(FluxsinkError):
     """Argument outside the supported evaluation box."""
 
 
-class DegenerateOrderError(FluxsinkError):
-    """Bessel connection formulas degenerate and no fallback applies."""
-
-
 class DegenerateModeError(FluxsinkError):
     """Partial mode sits on a regime boundary (mu = 0 or the upper edge)."""
-
-
-class ModelRegimeMismatch(FluxsinkError):
-    """Boundary model applied to a mode regime it does not describe."""
 
 
 class UnitarityViolation(FluxsinkError):
@@ -51,3 +43,7 @@ class FitDegenerateError(FluxsinkError):
 
 class ConfigError(FluxsinkError):
     """Scenario file is malformed or inconsistent."""
+
+
+class ModelRegimeMismatch(ConfigError):
+    """Boundary model applied to a mode regime it does not describe."""

@@ -335,7 +335,8 @@ def integrate_radial(
 # ---------------------------------------------------------------------
 
 
-def _lstsq_two_column(basis_a, basis_b, data):
+def _lstsq_two_column(basis_a, basis_b, data, what: str) -> tuple:
+    """Least-squares coefficients of data on two basis columns; FitDegenerateError past 1e-6 residual."""
     m = np.column_stack([basis_a, basis_b])
     scale = np.linalg.norm(m, axis=0)
     if np.any(scale == 0.0):
@@ -347,7 +348,9 @@ def _lstsq_two_column(basis_a, basis_b, data):
         )
     coef = coef / scale
     resid = np.linalg.norm(m @ coef - data) / max(np.linalg.norm(data), 1e-300)
-    return coef[0], coef[1], resid
+    if resid > 1e-6:
+        raise FitDegenerateError(f"{what} fit residual {resid:.2e} exceeds 1e-6")
+    return coef[0], coef[1]
 
 
 def match_small_rho(profile: RadialProfile, mode: PartialMode, cfg: ScatteringConfig) -> tuple:
@@ -372,10 +375,7 @@ def match_small_rho(profile: RadialProfile, mode: PartialMode, cfg: ScatteringCo
     q = (0.5 * cfg.p * r) ** 2
     b_minus = np.exp(-nu * np.log(r)) * (1.0 - q / (1.0 - nu))
     b_plus = np.exp(nu * np.log(r)) * (1.0 - q / (1.0 + nu))
-    a, b, resid = _lstsq_two_column(b_minus, b_plus, profile.values[sel])
-    if resid > 1e-6:
-        raise FitDegenerateError(f"small-rho fit residual {resid:.2e} exceeds 1e-6")
-    return a, b
+    return _lstsq_two_column(b_minus, b_plus, profile.values[sel], "small-rho")
 
 
 def _wave_dressing(nu_squared: float, x: np.ndarray) -> np.ndarray:
@@ -431,10 +431,7 @@ def match_large_rho(
     x = cfg.p * r
     phase = np.exp(1j * (x - 0.25 * math.pi))
     g_out = phase * _wave_dressing(mode.nu_squared, x) / np.sqrt(r)
-    c_in, c_out, resid = _lstsq_two_column(np.conj(g_out), g_out, profile.values[sel])
-    if resid > 1e-6:
-        raise FitDegenerateError(f"large-rho fit residual {resid:.2e} exceeds 1e-6")
-    return c_in, c_out
+    return _lstsq_two_column(np.conj(g_out), g_out, profile.values[sel], "large-rho")
 
 
 def extract_smatrix(profile: RadialProfile, cfg: ScatteringConfig, mode: PartialMode) -> complex:

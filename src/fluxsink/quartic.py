@@ -32,13 +32,18 @@ ways, picked by the tol argument:
   The Bessel-product series (DLMF 28.23) gives f+ = e^{i pi (nu - nu0)/2}
   sum (-1)^n c_2n J_n(w) H1_{nu+n}(u), with w = u = sqrt(q) at x = 0, as
   Vogt & Wannier (Phys. Rev. 95, 1190, 1954) used for this core.
-* a float tol, or the default above Q_SPECTRAL at 1e-8: one solve_ivp
-  call (_run_stage, this module's only ODE call) integrates the dressed
+* a float tol, or the default above Q_SPECTRAL at 1e-8: scipy's solve_ivp
+  (in _integrate, this module's only ODE call) integrates the dressed
   outgoing waves of all orders inward from u = _start_w(q) as one
-  vector, each half-line in v = sqrt(q) e^{|x|} (see _integrate).
+  vector, each half-line in v = sqrt(q) e^{|x|}.
   forward_fit_defect and backward_defect check this path.  The oracle's
   scalar DOP853 kernel is not used here: one order at a time it ran a
-  21-order solve about 5x slower at q = 100 and 7x at q = 1000.
+  21-order solve about 5x slower at q = 100 and 7x at q = 1000.  A numpy
+  vector port of the same kernel takes solve_ivp's steps and values; it
+  ran that q = 100 solve in 0.188 s against 0.203 s (nfev 14813 on
+  both), but the oracle's two-component stage 2.8x slower than the scalar
+  kernel (60.3 against 21.3 ms at tol 1e-6), so one shared kernel would
+  have to branch on its caller.
 
 Wave-basis dressing: the exact solutions deviate from pure Hankels by
 the opposite end's potential tail, a + q^2/u^4 term in each local wave
@@ -66,7 +71,7 @@ from .channels import (
     _amplitude_grid,
 )
 from .errors import ConfigError, FitDegenerateError, StiffnessError
-from .oracle import _check_tol, _lstsq_two_column
+from .oracle import POINTS_PER_WAVELENGTH, _check_tol, _lstsq_two_column
 from .specfun import hankel1_ladder
 
 __all__ = [
@@ -80,12 +85,10 @@ __all__ = [
     "backward_defect",
     "forward_fit_defect",
     "quartic_amplitude",
-    "quartic_amplitudes",
 ]
 
 REGIME_QUARTIC = "Quartic"
 FIT_U = (60.0, 120.0)  # floor of _start_w, and the outer start of backward_defect
-_POINTS_PER_WAVELENGTH = 40
 _START_BIAS = 1e-9
 # Largest coupling q = p lam accepted.  The inward solve's work grows like
 # q^0.4 (a 21-mode run takes seconds at q = 1e4), and past q ~ 4e18 the
@@ -127,15 +130,8 @@ class QuarticConfig:
             raise ConfigError(f"q = p*lam = {self.q:g} is too large (supported: q <= {Q_MAX:g})")
 
     @property
-    def rho0(self) -> float:
-        return math.sqrt(self.lam / self.p)
-
-    @property
     def q(self) -> float:
         return self.p * self.lam
-
-    def mathieu_a(self, m: int) -> float:
-        return (m - self.beta) ** 2
 
     def required_modes(self, model) -> list[int]:
         """The TotalAbsorption window, which an explicit range must cover."""
@@ -150,11 +146,14 @@ class QuarticConfig:
     def solve(self, ms, model) -> list:
         return quartic_smatrices(self, ms, model)
 
-    def amplitude(self, solutions: list, phi: float) -> complex:
-        return quartic_amplitude(self, solutions, phi)
-
     def amplitudes(self, solutions: list, phis) -> list[complex]:
-        return quartic_amplitudes(self, solutions, phis)
+        """f(phi) at each phi from explicitly solved modes plus the pure-flux background.
+
+        The inverse-square assembly with phi unreduced in the mode phases and
+        no required modes: S_m -> S_m^{AB} as capture shuts off at large
+        |m - beta|, so the caller's mode range sets the truncation error.
+        """
+        return _amplitude_grid(self, solutions, phis)
 
 
 @dataclass(frozen=True)
@@ -204,19 +203,16 @@ class ConnectionMatrix:
         return abs(f3 - r3 * r3) / n3, abs(f4 - r4 * r4) / n4, abs(det + r3 * r4) / math.sqrt(n3 * n4)
 
 
-def _wave_dressing_scalar(q: float, u: float) -> tuple[complex, complex]:
-    """(D, dD/du) for the e^{+iu} branch; conjugate serves the e^{-iu} branch."""
+def _wave_dressing(q: float, u):
+    """(D, dD/du) for the e^{+iu} branch at u, a float or an array; conjugate serves e^{-iu}."""
     amp = 1.0 - q * q / (4.0 * u**4)
-    chi = -q * q / (6.0 * u**3)
-    ph = cmath.exp(1j * chi)
-    d = amp * ph
-    dp = (q * q / u**5) * ph + amp * ph * (1j * q * q / (2.0 * u**4))
-    return d, dp
+    ph = np.exp(-1j * q * q / (6.0 * u**3))
+    return amp * ph, (q * q / u**5) * ph + amp * ph * (1j * q * q / (2.0 * u**4))
 
 
 def _outgoing(nu, q: float, u: float):
     """Dressed H1_nu(u) D(u) and its u d/du; nu may be an array."""
-    d, dp = _wave_dressing_scalar(q, u)
+    d, dp = _wave_dressing(q, u)
     h, hd = hankel1(nu, u), h1vp(nu, u)
     return h * d, u * (hd * d + h * dp)
 
@@ -228,32 +224,16 @@ def _start_w(q: float) -> float:
 
 def _fit_waves(nu: float, q: float, u: np.ndarray, values: np.ndarray):
     """(c_plus, c_minus): coefficients of dressed H1, H2 = conj(H1 D) at coordinate u."""
-    d = (1.0 - q * q / (4.0 * u**4)) * np.exp(-1j * q * q / (6.0 * u**3))
-    basis_plus = hankel1(nu, u) * d
-    c_plus, c_minus, resid = _lstsq_two_column(basis_plus, np.conj(basis_plus), values)
-    if resid > 1e-6:
-        raise FitDegenerateError(f"wave fit residual {resid:.2e} exceeds 1e-6")
-    return c_plus, c_minus
+    basis_plus = hankel1(nu, u) * _wave_dressing(q, u)[0]
+    return _lstsq_two_column(basis_plus, np.conj(basis_plus), values, "wave")
 
 
 def _window_grid(q: float, u_lo: float, u_hi: float, sign: int) -> np.ndarray:
     """x values with u = sqrt(q) e^{sign x} covering [u_lo, u_hi], ascending."""
-    n = max(80, int(_POINTS_PER_WAVELENGTH * (u_hi - u_lo) / (2.0 * math.pi)) + 2)
+    n = max(80, int(POINTS_PER_WAVELENGTH * (u_hi - u_lo) / (2.0 * math.pi)) + 2)
     u = np.linspace(u_lo, u_hi, n)
     x = sign * np.log(u / math.sqrt(q))
     return np.sort(x)
-
-
-def _run_stage(rhs, t0, t1, y0, t_eval, tol, max_step, what):
-    """One DOP853 solve_ivp call over all orders at once; StiffnessError when it fails."""
-    from scipy.integrate import solve_ivp  # imported on first use: a default quartic run needs no ODE
-    atol = 1e-3 * tol * max(np.max(np.abs(y0)), 1e-30)
-    res = solve_ivp(rhs, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=tol, atol=atol, max_step=max_step)
-    if not res.success:
-        raise StiffnessError(f"{what} stage failed near t={res.t[-1] if len(res.t) else t0}: {res.message}")
-    if not np.all(np.isfinite(res.y)):
-        raise StiffnessError(f"{what} stage produced non-finite values")
-    return res
 
 
 def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: float) -> np.ndarray:
@@ -263,9 +243,11 @@ def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: f
     x > 0, w for x < 0.  There dx/dv = sign(x)/v and 2 q cosh 2x =
     v^2 + q^2/v^2, so the wave rate is about 1 everywhere and one step
     cap in v follows the local wavelength.  An interval across x = 0 runs
-    as two stages split there.  Returns y at x_eval, ordered from x0 to x1.
+    as two stages split there, each one DOP853 solve_ivp call over all
+    orders at once.  Returns y at x_eval, ordered from x0 to x1.
     """
     _check_tol(tol)
+    from scipy.integrate import solve_ivp  # imported on first use: a default quartic run needs no ODE
     k = len(a)
     swap = np.r_[k : 2 * k, 0:k]  # (R, R_x) -> (R_x, R)
     qq = q * q
@@ -294,7 +276,12 @@ def _integrate(a: np.ndarray, q: float, y0, x0: float, x1: float, x_eval, tol: f
         va, vb = root * math.exp(sign * xa), root * math.exp(sign * xb)
         # np.exp and math.exp may differ in the last bit at the ends
         v_eval = np.clip(v_eval, min(va, vb), max(va, vb))
-        res = _run_stage(rhs, va, vb, y, v_eval, tol, cap, what)
+        atol = 1e-3 * tol * max(np.max(np.abs(y)), 1e-30)
+        res = solve_ivp(rhs, (va, vb), y, method="DOP853", t_eval=v_eval, rtol=tol, atol=atol, max_step=cap)
+        if not res.success:
+            raise StiffnessError(f"{what} stage failed near t={res.t[-1] if len(res.t) else va}: {res.message}")
+        if not np.all(np.isfinite(res.y)):
+            raise StiffnessError(f"{what} stage produced non-finite values")
         y = res.y[:, -1]
         out.append(res.y if last else res.y[:, :-1])
     return np.concatenate(out, axis=1)
@@ -546,16 +533,6 @@ def capture_probability(cfg: QuarticConfig, m: int, tol: float | None = None) ->
     return cfg.p * quartic_smatrix(cfg, m, Sink(), tol).sigma_abs
 
 
-def quartic_amplitudes(cfg: QuarticConfig, solutions: list, phis) -> list[complex]:
-    """f(phi) at each phi from explicitly solved modes plus the pure-flux background.
-
-    The inverse-square assembly with phi unreduced in the mode phases and
-    no required modes: S_m -> S_m^{AB} as capture shuts off at large
-    |m - beta|, so the caller's mode range sets the truncation error.
-    """
-    return _amplitude_grid(cfg, solutions, phis)
-
-
 def quartic_amplitude(cfg: QuarticConfig, solutions: list, phi: float) -> complex:
-    """f(phi) at one angle; see quartic_amplitudes."""
-    return quartic_amplitudes(cfg, solutions, [phi])[0]
+    """f(phi) at one angle; see QuarticConfig.amplitudes."""
+    return cfg.amplitudes(solutions, [phi])[0]

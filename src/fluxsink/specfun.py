@@ -43,7 +43,7 @@ import mpmath as mp
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DegenerateOrderError, PoleError, RangeError
+from .errors import PoleError, RangeError
 
 __all__ = [
     "Order",
@@ -53,7 +53,6 @@ __all__ = [
     "hankel",
     "hankel_pair",
     "wronskian_check",
-    "DegenerateOrderError",
 ]
 
 ORDER_MAX = 50.0

@@ -532,6 +532,26 @@ def test_exit_codes(tmp_path, capsys):
     assert "non-Regular" in capsys.readouterr().err
 
 
+def test_window_over_a_regular_mode_is_config_error(tmp_path, capsys):
+    # a total-absorption window may cover only non-Regular modes: invalid input, exit 1
+    window = "kind = total_absorption\nn_minus = 3\nn_plus = 0"
+    text = _scenario_text(model=window, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "w.ini", text)]) == 1
+    err = capsys.readouterr().err
+    assert "m=-3" in err and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+    # m = -1 is subcritical at gamma = 1 and Regular at the sweep point gamma = 0.2
+    window = "kind = total_absorption\nn_minus = 1\nn_plus = 1"
+    text = _scenario_text(gamma=1.0, model=window, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "ws.ini", text)]) == 0
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", str(tmp_path / "ws.ini"), "--vary", "gamma=0.2:1:0.8", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "m=-1" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("name,value", [("gamma", "nan"), ("gamma", "inf"), ("p", "inf")])
 def test_non_finite_input_is_config_error(tmp_path, capsys, name, value):
     text = _scenario_text(path=str(tmp_path / "out"), **{name: value})

@@ -62,9 +62,7 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="too large"):
             QuarticConfig(beta=0.2, lam=lam, p=1.0)
     cfg = QuarticConfig(beta=0.2, lam=2.0, p=0.5)
-    assert cfg.rho0 == pytest.approx(2.0)
     assert cfg.q == pytest.approx(1.0)
-    assert cfg.mathieu_a(2) == pytest.approx(1.8**2)
 
 
 def test_connection_flux_preservation():
