@@ -216,16 +216,25 @@ def run_sweep(scn: scenario.Scenario, axes: list, out_dir: str, fmt: str) -> str
 
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):
+        # an error names its grid point and keeps its class, so its exit code;
+        # a parameter the potential refuses is invalid input
         try:
             potential = dataclasses.replace(scn.potential, **dict(zip(names, combo)))
         except FluxsinkError as exc:
-            point = ", ".join(f"{n}={_g17(v)}" for n, v in zip(names, combo))
-            raise ConfigError(f"sweep point ({point}): {exc}") from exc
-        lo, hi = scenario.resolve_m_range(dataclasses.replace(scn, potential=potential))
-        rows.append((*combo, _total_sigma(potential.solve(range(lo, hi + 1), scn.model))))
+            raise ConfigError(_at_point(names, combo, exc)) from exc
+        try:
+            lo, hi = scenario.resolve_m_range(dataclasses.replace(scn, potential=potential))
+            rows.append((*combo, _total_sigma(potential.solve(range(lo, hi + 1), scn.model))))
+        except FluxsinkError as exc:
+            raise type(exc)(_at_point(names, combo, exc)) from exc
 
     os.makedirs(out_dir, exist_ok=True)
     return _write_table(out_dir, "sweep", fmt, names + ["sigma_total_abs"], rows)
+
+
+def _at_point(names: list, combo: tuple, exc: Exception) -> str:
+    point = ", ".join(f"{n}={_g17(v)}" for n, v in zip(names, combo))
+    return f"sweep point ({point}): {exc}"
 
 
 def _cmd_sweep(args) -> int:

@@ -12,8 +12,9 @@ outgoing Hankel function H1 are routed by region:
 * ``x <= 14``: ascending power series accumulated in 80-bit extended
   precision.  The alternating sum loses ~e^x of headroom, so 14 keeps at
   least 12 good digits.
-* ``14 < x < max(30, 10*mu)``: ``mpmath.besselj`` at 20 digits; mpmath
-  raises its working precision itself to absorb the cancellation.
+* ``14 < x < max(30, 10*mu)``: the same series in Python integer fixed
+  point with exact term ratios, at about 64 + x/ln 2 bits so that the
+  e^x cancellation leaves double precision (see ``_series_imag_exact``).
 * ``x >= max(30, 10*mu)``: Hankel's large-argument expansion, summed in
   double precision.  At x = 10*mu the smallest term is below ~1e-12 for
   every mu <= 50.
@@ -39,7 +40,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy import special as _sp
 
@@ -163,10 +163,8 @@ def _check_finite(tag: str, *vals: complex) -> None:
 
 
 def _series_imag_fast(mu: float, x: float) -> tuple[complex, complex]:
-    """(J_{i mu}(x), J'_{i mu}(x)) by power series in extended precision."""
+    """(sum t_k, sum (2k + i mu) t_k) of the series in extended precision."""
     half = 0.5 * x
-    # common prefactor (x/2)^{i mu} / Gamma(1 + i mu); unimodular power
-    c0 = cmath.exp(1j * mu * math.log(half)) / complex_gamma(complex(1.0, mu))
     q = np.clongdouble(half * half)
     iu = np.clongdouble(0) + np.clongdouble(1) * 1j
     term = np.clongdouble(1) + np.clongdouble(0) * 1j
@@ -182,18 +180,100 @@ def _series_imag_fast(mu: float, x: float) -> tuple[complex, complex]:
             break
         if k > 400:  # cannot happen for x <= 14
             raise RangeError("imaginary-order series failed to converge")
-    return c0 * complex(s_val), c0 * complex(s_der) / x
+    return complex(s_val), complex(s_der)
+
+
+def _dyadic(v: float) -> tuple[int, int]:
+    """(n, a) with v = n / 2**a exactly, a >= 0, and n odd when a > 0."""
+    m, e = math.frexp(v)
+    n, e = int(math.ldexp(m, 53)), e - 53
+    zeros = (n & -n).bit_length() - 1
+    n, e = n >> zeros, e + zeros
+    return (n << e, 0) if e >= 0 else (n, -e)
+
+
+def _series_imag_exact(mu: float, x: float) -> tuple[complex, complex]:
+    """(sum t_k, sum (2k + i mu) t_k) of the series in integer fixed point.
+
+    mu = M / 2^a and x = X / 2^b are taken exactly, so the term ratio
+    t_k / t_{k-1} = -(x/2)^2 / (k (k + i mu))
+                  = -X^2 (k 2^a - i M) / (2^(2b+2) k ((k 2^a)^2 + M^2))
+    is an exact rational, and each term T_k = t_k 2^P is rounded once, by
+    the final floor division, to within one unit per component.
+
+    Precision: P = 64 + E_x + E_mu bits, with 2^E_x >= e^x and
+    2^E_mu >= 1 / min(1, mu).  The ratios r_k = |t_k / t_{k-1}| fall with
+    k, so an error made at term j reaches term j + l damped by at least
+    |t_l|, and the rounding errors of K terms add up to at most
+    2^(1/2) K sum_l |t_l| 2^-P <= 2^(1/2) K 2^-64 min(1, mu), since
+    sum_l |t_l| <= I_0(x) <= e^x.  Once r_{k+1} <= 1/2 (k >= k_drop) an
+    error is at most doubled downstream, so the terms and the partial sums
+    drop the E_x guard bits there and go on at 64 + E_mu bits, which adds
+    at most 2^(3/2) K 2^-64 min(1, mu) and saves about a sixth of the time
+    at x ~ 400.
+    Stopping rule: the sum ends with the first term whose components are
+    both at most 2^E_x units of 2^-P, |t_K| <= 2^(1/2 - 64) min(1, mu).
+    There r_K < 1/2 (with r_K >= 1/2 every ratio so far is at least
+    K/(2j), and |t_K| >= K^K / (2^K K!) >= 1/2), so the omitted tail is
+    below |t_K|.  In the box K <= ~700, so the sum is good to
+    ~2e-16 min(1, mu) absolute: full double precision for
+    |S| ~ (mu/x)^(1/2) and for Im S = O(mu).
+
+    sum k t_k is taken as K S_K - sum_{j<K} S_j over the partial sums S_j,
+    which costs one addition per term instead of a multiplication.
+    """
+    big_m, a = _dyadic(mu)
+    big_x, b = _dyadic(x)
+    e_x = math.ceil(x / math.log(2.0))
+    p = 64 + e_x + max(0, 1 - math.frexp(mu)[1])  # mu >= 2^(frexp exponent - 1)
+    shift = 2 * b + 2 - a
+    x2 = big_x * big_x
+    if shift < 0:
+        x2, shift = x2 << -shift, 0
+    a2, m2, im_num = 1 << 2 * a, big_m * big_m, big_m * x2
+    tr, ti = 1 << p, 0
+    sr, si, ur, ui = tr, 0, 0, 0
+    stop = 1 << e_x
+    # r_{k+1} <= 1/2 from k_drop on: (k+1)^2 >= (sqrt(mu^4 + x^4) - mu^2) / 2
+    k_drop = max(0, math.ceil(math.sqrt(0.5 * (math.hypot(mu * mu, x * x) - mu * mu))) - 1)
+    k = 0
+    while abs(tr) > stop or abs(ti) > stop:
+        if k == k_drop:
+            tr, ti, sr, si, ur, ui = (v >> e_x for v in (tr, ti, sr, si, ur, ui))
+            p, stop = p - e_x, 1
+        k += 1
+        re_num = -(k * x2 << a)
+        den = k * (k * k * a2 + m2)
+        ur += sr
+        ui += si
+        tr, ti = (
+            ((tr * re_num - ti * im_num) >> shift) // den,
+            ((tr * im_num + ti * re_num) >> shift) // den,
+        )
+        sr += tr
+        si += ti
+    # sum (2k + i mu) t_k = 2 sum k t_k + i mu S, in units of 2^-(p + a)
+    wr, wi = k * sr - ur, k * si - ui
+    dr, di = (wr << a + 1) - big_m * si, (wi << a + 1) + big_m * sr
+    unit, unit_der = 1 << p, 1 << p + a
+    return complex(sr / unit, si / unit), complex(dr / unit_der, di / unit_der)
 
 
 def _j_imag_series(mu: float, x: float) -> tuple[complex, complex]:
-    """(J_{i mu}(x), J'_{i mu}(x)) below the asymptotic edge."""
+    """(J_{i mu}(x), J'_{i mu}(x)) below the asymptotic edge, by DLMF 10.2.2.
+
+    J_{i mu}(x) = c0 sum_k t_k with t_k = (-x^2/4)^k / (k! (1 + i mu)_k) and
+    c0 = (x/2)^{i mu} / Gamma(1 + i mu); x J' = c0 sum_k (2k + i mu) t_k.
+    The alternating sum loses ~e^x to cancellation: extended precision
+    carries it up to x = 14, exact integer arithmetic beyond.
+    """
     if x <= _SERIES_FAST_EDGE:
-        return _series_imag_fast(mu, x)
-    # mpmath raises its working precision itself to absorb the ~e^x
-    # cancellation; at 17 digits a few results differ in the last bit
-    with mp.workdps(20):
-        nu = mp.mpc(0, mu)
-        return complex(mp.besselj(nu, x)), complex(mp.besselj(nu, x, derivative=1))
+        s_val, s_der = _series_imag_fast(mu, x)
+    else:
+        s_val, s_der = _series_imag_exact(mu, x)
+    # common prefactor, formed in double; the power is unimodular
+    c0 = cmath.exp(1j * mu * math.log(0.5 * x)) / complex_gamma(complex(1.0, mu))
+    return c0 * s_val, c0 * s_der / x
 
 
 # =====================================================================

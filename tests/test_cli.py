@@ -525,6 +525,11 @@ def test_exit_codes(tmp_path, capsys):
     deg = _scenario_text(beta=0.5, gamma=0.5, path=str(tmp_path / "o"))
     assert cli.main(["run", _write(tmp_path, "deg.ini", deg)]) == 2
     assert capsys.readouterr().err.count("m=0") == 1  # named once, not prefixed again
+    # the same mode at a sweep point: still exit 2, now with the point
+    base = _write(tmp_path, "degs.ini", _scenario_text(beta=0.5, gamma=0.3, path=str(tmp_path / "o")))
+    assert cli.main(["sweep", base, "--vary", "gamma=0.5:0.5:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: sweep point (gamma=0.5): ") and err.count("m=0") == 1
 
     # explicit range missing absorbing modes is a config error
     short = _scenario_text(m_range="2:5", path=str(tmp_path / "o"))
@@ -549,6 +554,7 @@ def test_window_over_a_regular_mode_is_config_error(tmp_path, capsys):
     assert cli.main(["sweep", str(tmp_path / "ws.ini"), "--vary", "gamma=0.2:1:0.8", "--out", out]) == 1
     err = capsys.readouterr().err
     assert "m=-1" in err and len(err.splitlines()) == 1
+    assert err.startswith("error: sweep point (gamma=0.2")  # printed to 17 digits
     assert not (tmp_path / "sweep").exists()
 
 
