@@ -9,17 +9,15 @@ library applies and we delegate to scipy's AMOS bindings.  For nu^2 < 0
 (order nu = i*mu, mu > 0) scipy has no support; J_{i mu} and the
 outgoing Hankel function H1 are routed by region:
 
-* ``x <= 14``: ascending power series accumulated in 80-bit extended
-  precision.  The alternating sum loses ~e^x of headroom, so 14 keeps at
-  least 12 good digits.
-* ``14 < x < max(30, 10*mu)``: the same series in Python integer fixed
-  point with exact term ratios, at about 64 + x/ln 2 bits so that the
-  e^x cancellation leaves double precision (see ``_series_imag_exact``).
+* ``x < max(30, 10*mu)``: the ascending power series in Python integer
+  fixed point with exact term ratios, at about 64 + x/ln 2 bits so that
+  the alternating sum's ~e^x cancellation leaves double precision (see
+  ``_series_imag_exact``).
 * ``x >= max(30, 10*mu)``: Hankel's large-argument expansion, summed in
   double precision.  At x = 10*mu the smallest term is below ~1e-12 for
   every mu <= 50.
 
-Below the last edge H1 is formed from J_{i mu} and J_{-i mu} = conj J_{i mu}.
+Below the edge H1 is formed from J_{i mu} and J_{-i mu} = conj J_{i mu}.
 The ingoing H2 is never evaluated on its own: at real argument it is the
 reflection of H1, H2_mu = conj H1_mu and H2_{i mu} = e^{-mu pi} conj H1_{i mu}
 (DLMF 10.11).
@@ -57,10 +55,6 @@ __all__ = [
 
 ORDER_MAX = 50.0
 X_MAX = 1.0e4
-
-# Fast-series edge: e^14 ~ 1.2e6 of alternation headroom against the
-# 1.1e-19 extended-precision ulp leaves ~12-13 digits.
-_SERIES_FAST_EDGE = 14.0
 
 
 # =====================================================================
@@ -162,27 +156,6 @@ def _check_finite(tag: str, *vals: complex) -> None:
 # =====================================================================
 
 
-def _series_imag_fast(mu: float, x: float) -> tuple[complex, complex]:
-    """(sum t_k, sum (2k + i mu) t_k) of the series in extended precision."""
-    half = 0.5 * x
-    q = np.clongdouble(half * half)
-    iu = np.clongdouble(0) + np.clongdouble(1) * 1j
-    term = np.clongdouble(1) + np.clongdouble(0) * 1j
-    s_val = term
-    s_der = iu * np.clongdouble(mu)  # derivative weight (2k + i mu) at k = 0
-    k = 0
-    while True:
-        k += 1
-        term = term * (-q) / (np.clongdouble(k) * (np.clongdouble(k) + iu * np.clongdouble(mu)))
-        s_val = s_val + term
-        s_der = s_der + term * (np.clongdouble(2 * k) + iu * np.clongdouble(mu))
-        if abs(complex(term)) < 1e-25 * max(abs(complex(s_val)), 1e-300):
-            break
-        if k > 400:  # cannot happen for x <= 14
-            raise RangeError("imaginary-order series failed to converge")
-    return complex(s_val), complex(s_der)
-
-
 def _dyadic(v: float) -> tuple[int, int]:
     """(n, a) with v = n / 2**a exactly, a >= 0, and n odd when a > 0."""
     m, e = math.frexp(v)
@@ -264,14 +237,11 @@ def _j_imag_series(mu: float, x: float) -> tuple[complex, complex]:
 
     J_{i mu}(x) = c0 sum_k t_k with t_k = (-x^2/4)^k / (k! (1 + i mu)_k) and
     c0 = (x/2)^{i mu} / Gamma(1 + i mu); x J' = c0 sum_k (2k + i mu) t_k.
-    The alternating sum loses ~e^x to cancellation: extended precision
-    carries it up to x = 14, exact integer arithmetic beyond.
+    The alternating sum loses ~e^x to cancellation, which the integer
+    fixed point of ``_series_imag_exact`` absorbs at every x.
     """
-    if x <= _SERIES_FAST_EDGE:
-        s_val, s_der = _series_imag_fast(mu, x)
-    else:
-        s_val, s_der = _series_imag_exact(mu, x)
-    # common prefactor, formed in double; the power is unimodular
+    s_val, s_der = _series_imag_exact(mu, x)
+    # prefactor, formed in double; the power is unimodular
     c0 = cmath.exp(1j * mu * math.log(0.5 * x)) / complex_gamma(complex(1.0, mu))
     return c0 * s_val, c0 * s_der / x
 
