@@ -464,16 +464,24 @@ def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
 
 
 def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
-    # the import, and a default lam = 2 quartic run (21 modes), in a fresh interpreter
+    # the import, and a default lam = 2 quartic run (21 modes), in a fresh
+    # interpreter; the oracle's generated DOP853 kernel is built on the first
+    # oracle call, not at import, so set-up never pays for it
     path = _write(tmp_path, "q2.ini", _scenario_text(
         kind="inverse_quartic", lam=2.0, p=1.0, model="kind = sink", phi_samples=721,
         path=str(tmp_path / "out"),
     ))
     code = (
         "import sys, fluxsink, fluxsink.cli\n"
+        "from fluxsink import oracle\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "assert oracle._kernel.cache_info().currsize == 0, 'kernel at import'\n"
         f"assert fluxsink.cli.main(['run', {path!r}]) == 0\n"
         "assert 'scipy.integrate' not in sys.modules, 'run'\n"
+        "assert oracle._kernel.cache_info().currsize == 0, 'kernel on run'\n"
+        "cfg = fluxsink.channels.ScatteringConfig(beta=0.4, gamma=0.8, p=1.3)\n"
+        "oracle.oracle_smatrix(cfg, fluxsink.channels.classify_mode(cfg, 0), fluxsink.channels.Sink())\n"
+        "assert oracle._kernel.cache_info().currsize == 1, 'kernel on oracle call'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
     assert len((tmp_path / "out" / "modes.csv").read_text().splitlines()) == 22

@@ -1,6 +1,7 @@
 """ODE oracle: propagation accuracy, asymptotic fits, S-matrix extraction."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from fluxsink.errors import ConfigError, FitDegenerateError, StiffnessError
 from fluxsink.oracle import (
     RadialProfile,
     _dop853,
+    _kernel,
+    _tableau,
     current_spread,
     default_rho_in,
     extract_smatrix,
@@ -215,6 +218,40 @@ def test_dop853_controller_matches_solve_ivp_across_rejections(tol):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_kernel_matches_loop_form_exactly():
+    # the generated straight-line stages against the tableau rows summed in
+    # a loop from 0j in ascending j, as the kernel's docstring promises
+    c, a, e5, e3, d = _tableau()
+    step, dense = _kernel()
+
+    def combine(row, k):
+        acc = 0j
+        for j, w in row:
+            acc += w * k[j]
+        return acc
+
+    def rhs(t, r, dr):
+        return dr, (0.3 - 2.0 * math.sin(t)) * r - 0.1j * dr
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        t, h = rng.uniform(0.1, 5.0), rng.uniform(1e-3, 0.5)
+        r, dr = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        x, y = rhs(t, r, dr)
+        kr, kd = [x], [y]
+        for s in range(1, 16):  # A row 12 is B; rows 13-15 are the dense-output stages
+            yr, yd = r + combine(a[s], kr) * h, dr + combine(a[s], kd) * h
+            x, y = rhs(t + c[s] * h, yr, yd)
+            kr.append(x)
+            kd.append(y)
+            if s == 12:
+                y_new = (yr, yd)
+        got = step(rhs, t, h, r, dr, kr[0], kd[0])
+        sums = [combine(row, k) for row in (e5, e3) for k in (kr, kd)]
+        assert got == (*y_new, *sums, tuple(kr[:13]), tuple(kd[:13]))
+        assert dense(rhs, t, h, r, dr, got[6], got[7]) == [(h * combine(row, kr), h * combine(row, kd)) for row in d]
+
+
 def test_dop853_non_finite_state_names_the_stage():
     t_eval = np.linspace(1.0, 2.0, 11)
 
@@ -375,6 +412,87 @@ def test_tau_halving_refines_by_four():
     assert err[1] / err[2] >= 4.0
 
 
+# oracle_smatrix at commit fff206d (DOP853 stages summed in loops over the
+# tableau rows), as float.hex of (Re S, Im S).  The oracle is the evidence for
+# the closed forms, so a change to its kernel must keep every bit.
+ORACLE_FROZEN = {
+    ("super-sink", 1e-06): ("0x1.d09d3b654f614p-4", "-0x1.948a8fb704966p-25"),
+    ("super-sink", 1e-08): ("0x1.d09d2e61fb20fp-4", "-0x1.ce7f2d023726ep-41"),
+    ("super-elastic", 1e-06): ("-0x1.cda7726f64d25p-1", "-0x1.bace95074099bp-2"),
+    ("super-elastic", 1e-08): ("-0x1.cda772ec23452p-1", "-0x1.bace92ff09f77p-2"),
+    ("super-total", 1e-06): ("0x1.a5db5d20f5e3ap-25", "-0x1.b46a11334117cp-25"),
+    ("super-total", 1e-08): ("0x1.276e3d94f74a3p-41", "-0x1.d34dd381596f6p-41"),
+    ("super-custom", 1e-06): ("0x1.6919ab1e99f47p-4", "-0x1.6919a0b991028p-3"),
+    ("super-custom", 1e-08): ("0x1.6919a073ada01p-4", "-0x1.6919a073abe92p-3"),
+    ("sub-sink", 1e-06): ("-0x1.03f126da8f1e1p-5", "0x1.ffbdff48f64c9p-1"),
+    ("sub-sink", 1e-08): ("-0x1.03f1281169804p-5", "0x1.ffbdff4858667p-1"),
+    ("sub-elastic", 1e-06): ("-0x1.e8c3cf8619de8p-1", "-0x1.30fa5aab2a775p-2"),
+    ("sub-elastic", 1e-08): ("-0x1.e8c3cf3e862d4p-1", "-0x1.30fa5c7602641p-2"),
+    ("sub-total", 1e-06): ("-0x1.06e27836fdd91p-25", "0x1.82ad24be70ddbp-25"),
+    ("sub-total", 1e-08): ("0x1.140e045c86bdap-40", "0x1.5990ab20a7df5p-39"),
+    ("sub-custom", 1e-06): ("-0x1.a3243fad8b8a4p-2", "0x1.260c571e1f1d5p-2"),
+    ("sub-custom", 1e-08): ("-0x1.a3243dba89b18p-2", "0x1.260c572a94b79p-2"),
+}
+# integrate_radial over [default_rho_in, 100/p] for the same channels at the
+# same commit: point count and the first 16 hex digits of the SHA-256 of the
+# grid, values and derivative values
+PROFILE_FROZEN = {
+    ("super-sink", 1e-06): (809, "cfbfa291e33dcf16"),
+    ("super-sink", 1e-08): (809, "897f346e26dd4bd9"),
+    ("super-elastic", 1e-06): (797, "2adf92431d7dfbef"),
+    ("super-elastic", 1e-08): (797, "62c699fc8184fbff"),
+    ("super-total", 1e-06): (809, "3490e46455d797d3"),
+    ("super-total", 1e-08): (809, "d7f3c83a229fda18"),
+    ("super-custom", 1e-06): (797, "a21cbe79a831f7f7"),
+    ("super-custom", 1e-08): (797, "10be01a166b78f93"),
+    ("sub-sink", 1e-06): (809, "6a76394c5c6dca2f"),
+    ("sub-sink", 1e-08): (809, "a7521e5ba389de8f"),
+    ("sub-elastic", 1e-06): (797, "ebade7ae8a1d7e7c"),
+    ("sub-elastic", 1e-08): (797, "e48f7687161cfeed"),
+    ("sub-total", 1e-06): (809, "be04d357abc34dc0"),
+    ("sub-total", 1e-08): (809, "f9e13a65b2763db8"),
+    ("sub-custom", 1e-06): (797, "7735b37810f8b222"),
+    ("sub-custom", 1e-08): (797, "7a7a2a8459cb13ee"),
+}
+
+
+def _frozen_channel(key):
+    """(cfg, mode, model) of an ORACLE_FROZEN key: regime-model, p = 0.5 or 2."""
+    regime, name = key.split("-")
+    beta, gamma, m = (0.4, 0.8, 0) if regime == "super" else (0.3, 0.5, 1)
+    cfg = ScatteringConfig(beta=beta, gamma=gamma, p=0.5 if name in ("sink", "total") else 2.0)
+    mode = classify_mode(cfg, m)
+    assert mode.regime == (Regime.SUPERCRITICAL if regime == "super" else Regime.SUBCRITICAL)
+    model = {
+        "sink": Sink(),
+        "elastic": ElasticSupercritical(theta=2.2) if regime == "super" else ElasticSubcritical(l=0.7),
+        "total": TotalAbsorption(n_minus=1, n_plus=1),
+        "custom": Custom(ratios={m: (0.01 - 0.02j) if regime == "super" else (0.3 + 0.4j)}),
+    }[name]
+    return cfg, mode, model
+
+
+@pytest.mark.parametrize("key, tol", sorted(ORACLE_FROZEN))
+def test_oracle_frozen_to_the_bit(key, tol):
+    cfg, mode, model = _frozen_channel(key)
+    s = oracle_smatrix(cfg, mode, model, tol=tol)
+    assert (s.real.hex(), s.imag.hex()) == ORACLE_FROZEN[key, tol]
+
+
+@pytest.mark.parametrize("key, tol", sorted(PROFILE_FROZEN))
+def test_oracle_samples_the_full_profile(key, tol):
+    # oracle_smatrix samples only the fit window; the full profile, fitted
+    # the same way, must give the same S exactly, and keep its own bits
+    cfg, mode, model = _frozen_channel(key)
+    rho_in = default_rho_in(cfg)
+    prof = integrate_radial(
+        cfg, mode, init_for_model(cfg, mode, model, rho_in), rho_out=100.0 / cfg.p, rho_in=rho_in, tol=tol
+    )
+    assert extract_smatrix(prof, cfg, mode) == oracle_smatrix(cfg, mode, model, tol=tol)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (prof.rho_grid, prof.values, prof.derivative_values)))
+    assert (len(prof.rho_grid), digest.hexdigest()[:16]) == PROFILE_FROZEN[key, tol]
+
+
 def test_oracle_matches_closed_forms():
     rng = np.random.default_rng(41)
     for _ in range(12):
@@ -435,3 +553,9 @@ def test_integrate_range_validation():
     mode = classify_mode(cfg, 0)
     with pytest.raises(ConfigError):
         integrate_radial(cfg, mode, (1.0, 0.0), rho_out=0.5, rho_in=1.0)
+    # a range too short for either stage would leave no points to fit
+    rho_in = default_rho_in(cfg)
+    with pytest.raises(ConfigError, match="empty"):
+        integrate_radial(cfg, mode, (1.0, 0.0), rho_out=rho_in * (1 + 1e-13), rho_in=rho_in)
+    with pytest.raises(ConfigError, match="empty"):
+        RadialProfile(np.array([]), np.array([], dtype=complex), np.array([], dtype=complex))
