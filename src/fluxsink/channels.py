@@ -42,6 +42,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     DegenerateModeError,
@@ -550,37 +552,47 @@ def partial_current(
 # ---------------------------------------------------------------------
 
 
-def _outside_cone(phi: float) -> float:
-    """phi reduced to (-pi, pi]; ForwardDirectionError inside |phi| < PHI_MIN."""
-    w = math.fmod(phi + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    w -= math.pi
-    if abs(w) < PHI_MIN:
-        raise ForwardDirectionError(f"phi={phi} is inside the excluded forward cone (|phi| < {PHI_MIN})")
+def _outside_cone(phis) -> np.ndarray:
+    """phis reduced to (-pi, pi] as math.fmod reduces them; non-finite or |phi| < PHI_MIN refused."""
+    phi = np.asarray(phis, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ConfigError(f"phi={float(phi[~np.isfinite(phi)][0])} must be finite")
+    w = np.fmod(phi + math.pi, 2.0 * math.pi)
+    w = np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    inside = np.abs(w) < PHI_MIN
+    if inside.any():
+        raise ForwardDirectionError(f"phi={float(phi[inside][0])} is inside the excluded forward cone (|phi| < {PHI_MIN})")
     return w
 
 
 def _amplitude_grid(cfg, solutions: list, phis) -> list[complex]:
-    """C sum_m (S_m - S_m^AB) e^{i m phi} + f_AB(phi) at each phi as given.
+    """C sum_m (S_m - S_m^AB) e^{i m phi} + f_AB(phi) at each phi as given; f_AB alone without modes.
 
-    Per phi the terms add in ascending m: that order fixes the last bits.
+    Float64 arrays over phi do CPython's complex arithmetic one IEEE operation
+    at a time, adding the terms in ascending m, so every value has the bits
+    of a per-angle cmath loop: cmath.exp(i y) is (cos y, sin y), numpy's
+    float64 cos and sin are the C library's (complex128 arrays round otherwise).
     """
+    phi = np.asarray(phis, dtype=float)
+    w = _outside_cone(phi)  # f_AB reduces phi on its own
     c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
     k = -c * math.sin(math.pi * cfg.beta)
-    terms = []
-    for sol in sorted(solutions, key=lambda s: s.mode.m):
-        m = sol.mode.m
-        s_ab = cmath.exp((1j if m >= 1 else -1j) * math.pi * cfg.beta)  # e^{i pi (m - |m - beta|)}
-        terms.append((1j * m, sol.s_matrix - s_ab))
-    out = []
-    for phi in phis:
-        w = _outside_cone(phi)  # f_AB reduces phi on its own, as ab_amplitude_closed does
-        acc = 0.0 + 0.0j
-        for im, dm in terms:
-            acc += dm * cmath.exp(im * phi)
-        out.append(c * acc + k * cmath.exp(0.5j * w) / math.sin(0.5 * w))
-    return out
+    er, sn = np.cos(0.5 * w), np.sin(0.5 * w)
+    ar, ai = k.real * er - k.imag * sn, k.real * sn + k.imag * er
+    z = 0.0 / sn  # CPython divides by the complex (sn, 0) by Smith's rule: z signs the zeros
+    re, im = (ar + ai * z) / sn, (ai - ar * z) / sn
+    if solutions:
+        acc_r = acc_i = 0.0
+        for sol in sorted(solutions, key=lambda s: s.mode.m):
+            m = sol.mode.m
+            d = sol.s_matrix - cmath.exp((1j if m >= 1 else -1j) * math.pi * cfg.beta)  # S_m - S_m^AB
+            y = float(m) * phi
+            co, si = np.cos(y), np.sin(y)
+            acc_r = acc_r + (d.real * co - d.imag * si)
+            acc_i = acc_i + (d.real * si + d.imag * co)
+        re = (c.real * acc_r - c.imag * acc_i) + re
+        im = (c.real * acc_i + c.imag * acc_r) + im
+    return list(map(complex, re.tolist(), im.tolist()))
 
 
 def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
@@ -590,9 +602,7 @@ def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
     the Abel-summed full mode series; |f_AB| = sin(pi beta)/(sqrt(2 pi p)
     |sin(phi/2)|).
     """
-    w = _outside_cone(phi)
-    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
-    return -c * math.sin(math.pi * cfg.beta) * cmath.exp(0.5j * w) / math.sin(0.5 * w)
+    return _amplitude_grid(cfg, [], [phi])[0]
 
 
 def amplitudes(cfg: ScatteringConfig, solutions: list[ChannelSolution], phis) -> list[complex]:
@@ -603,9 +613,9 @@ def amplitudes(cfg: ScatteringConfig, solutions: list[ChannelSolution], phis) ->
     Regular tail is the Abel-summed closed form ab_amplitude_closed.  At
     gamma = 0 the resummation is exact.  Every non-Regular mode must be
     present among the solutions (IncompleteRangeError); before that, every
-    phi must lie outside the cone |phi| < 1e-3 (ForwardDirectionError).
+    phi must be finite (ConfigError) and outside |phi| < 1e-3 (ForwardDirectionError).
     """
-    ws = [_outside_cone(phi) for phi in phis]
+    ws = _outside_cone(phis)
     present = {s.mode.m for s in solutions}
     missing = [m for m in nonregular_modes(cfg) if m not in present]
     if missing:

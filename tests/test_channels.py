@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fluxsink import cli, quartic
 from fluxsink.channels import (
+    PHI_MIN,
     REGIME_EPS,
     Custom,
     Elastic,
@@ -444,6 +445,131 @@ def test_amplitudes_check_the_cone_before_the_modes():
         amplitudes(cfg, sols, [math.pi, 0.0])
     with pytest.raises(IncompleteRangeError):
         amplitudes(cfg, sols, [math.pi, 1.0])
+
+
+def _reference_cone(phi):
+    # scalar reference: math.fmod reduction of one angle
+    w = math.fmod(phi + math.pi, 2.0 * math.pi)
+    if w <= 0.0:
+        w += 2.0 * math.pi
+    w -= math.pi
+    if abs(w) < PHI_MIN:
+        raise ForwardDirectionError(f"phi={phi} is inside the excluded forward cone (|phi| < {PHI_MIN})")
+    return w
+
+
+def _reference_ab(cfg, phi):
+    # scalar reference: the closed f_AB as one complex expression
+    w = _reference_cone(phi)
+    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
+    return -c * math.sin(math.pi * cfg.beta) * cmath.exp(0.5j * w) / math.sin(0.5 * w)
+
+
+def _reference_amplitudes(cfg, solutions, phis):
+    # scalar reference: one cmath.exp per (mode, angle), terms added in ascending m
+    if isinstance(cfg, ScatteringConfig):
+        phis = [_reference_cone(phi) for phi in phis]  # the mode phases see the reduced angle
+    c = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0 * math.pi * cfg.p)
+    k = -c * math.sin(math.pi * cfg.beta)
+    terms = []
+    for sol in sorted(solutions, key=lambda s: s.mode.m):
+        m = sol.mode.m
+        s_ab = cmath.exp((1j if m >= 1 else -1j) * math.pi * cfg.beta)
+        terms.append((1j * m, sol.s_matrix - s_ab))
+    out = []
+    for phi in phis:
+        w = _reference_cone(phi)
+        acc = 0.0 + 0.0j
+        for im, dm in terms:
+            acc += dm * cmath.exp(im * phi)
+        out.append(c * acc + k * cmath.exp(0.5j * w) / math.sin(0.5 * w))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except ForwardDirectionError as exc:
+        return "ForwardDirectionError", str(exc)
+    return [_bits(f) for f in got] if isinstance(got, list) else _bits(got)
+
+
+def _cone_edges(centers):
+    # angles within 1e-12 of each center, down to one ulp either side
+    out = []
+    for x in centers:
+        for d in (0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+            out += [x - d, x + d]
+        out += [float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))]
+    return out
+
+
+REFERENCE_CASES = {
+    "square": (ScatteringConfig(beta=0.3, gamma=1.5, p=1.0), Elastic(l=0.7, theta=1.2), range(-12, 13)),
+    "square_gamma_0": (ScatteringConfig(beta=0.7, gamma=0.0, p=2.0), Sink(), range(-10, 11)),
+    "square_free": (ScatteringConfig(beta=0.0, gamma=0.0, p=1.3), Sink(), range(-5, 6)),
+    "square_pm200": (ScatteringConfig(beta=0.45, gamma=2.5, p=0.7), Sink(), range(-200, 201)),
+    "square_negative_to_1": (ScatteringConfig(beta=0.3, gamma=0.5, p=3.0), Sink(), range(-200, 2)),
+    "square_0_to_200": (ScatteringConfig(beta=0.9, gamma=0.2, p=0.2), Elastic(l=-1.5), range(0, 201)),
+    "quartic": (quartic.QuarticConfig(beta=0.3, lam=2.0, p=1.0), Sink(), range(-6, 7)),
+    "quartic_beta_0": (quartic.QuarticConfig(beta=0.0, lam=1.0, p=1.5), Elastic(theta=0.5), range(-5, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_amplitude_grid_matches_the_complex_loop_bitwise(case):
+    # the float64 array pass does the complex loop's IEEE operations in its order
+    cfg, model, ms = REFERENCE_CASES[case]
+    sols = cfg.solve(ms, model)
+    rng = np.random.default_rng(2026)
+    draws = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 300).tolist()
+    if isinstance(cfg, quartic.QuarticConfig):  # raw angles up to and past 2 pi
+        draws = rng.uniform(PHI_MIN, 5.0 * math.pi, 300).tolist()
+    draws = [phi for phi in draws if abs(math.remainder(phi, 2.0 * math.pi)) > 2.0 * PHI_MIN]
+    grid = _phi_grid().tolist() + draws
+    assert _outcome(cfg.amplitudes, sols, grid) == _outcome(_reference_amplitudes, cfg, sols, grid)
+    edges = _cone_edges([PHI_MIN, -PHI_MIN, math.pi, -math.pi, 2.0 * math.pi - PHI_MIN, 2.0 * math.pi + PHI_MIN])
+    outcomes = [_outcome(cfg.amplitudes, sols, [phi]) for phi in edges]
+    assert outcomes == [_outcome(_reference_amplitudes, cfg, sols, [phi]) for phi in edges]
+    assert any(isinstance(o, list) for o in outcomes) and any(isinstance(o, tuple) for o in outcomes)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.999])
+def test_ab_amplitude_closed_matches_the_closed_formula_bitwise(beta):
+    cfg = ScatteringConfig(beta=beta, gamma=0.0, p=0.8)
+    rng = np.random.default_rng(7)
+    phis = rng.uniform(-10.0, 10.0, 200).tolist() + _cone_edges([PHI_MIN, -PHI_MIN, math.pi])
+    for phi in phis:
+        assert _outcome(ab_amplitude_closed, cfg, phi) == _outcome(_reference_ab, cfg, phi)
+
+
+def _amplitude_calls():
+    cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
+    sols = cfg.solve(range(-3, 4), Sink())
+    qcfg = quartic.QuarticConfig(beta=0.3, lam=2.0, p=1.0)
+    qsols = qcfg.solve(range(-2, 3), Sink())
+    return {
+        "amplitudes": lambda phi: amplitudes(cfg, sols, [1.0, phi]),
+        "amplitude": lambda phi: amplitude(cfg, sols, phi),
+        "ab_amplitude_closed": lambda phi: ab_amplitude_closed(cfg, phi),
+        "quartic_amplitudes": lambda phi: qcfg.amplitudes(qsols, [1.0, phi]),
+        "quartic_amplitude": lambda phi: quartic.quartic_amplitude(qcfg, qsols, phi),
+    }
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", ["amplitudes", "amplitude", "ab_amplitude_closed", "quartic_amplitudes", "quartic_amplitude"])
+def test_non_finite_angle_is_a_config_error(call, phi):
+    # neither a bare "math domain error" (inf) nor a silent nan+nanj (nan)
+    with pytest.raises(ConfigError, match=f"^phi={phi} must be finite$"):
+        _amplitude_calls()[call](phi)
+
+
+def test_non_finite_angle_is_named_before_the_cone_and_the_modes():
+    cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
+    sols = cfg.solve([0], Sink())  # m = 1 missing
+    with pytest.raises(ConfigError, match="phi=nan"):
+        amplitudes(cfg, sols, [0.0, math.nan])
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
