@@ -323,11 +323,9 @@ def _subcritical_ratio_from_l(cfg: ScatteringConfig, mode: PartialMode, l: float
     branch, reproducing the Regular-regime phase.
     """
     mu = mode.mu
-    t = (
-        l
-        * (0.5 * cfg.p) ** (2.0 * mu)
-        * (complex_gamma(1.0 - mu) / complex_gamma(1.0 + mu)).real
-    )
+    t = l * (0.5 * cfg.p) ** (2.0 * mu)
+    if t:  # a signed zero stays itself: Gamma(1 - mu) / Gamma(1 + mu) > 0 for 0 < mu < 1
+        t *= (complex_gamma(1.0 - mu) / complex_gamma(1.0 + mu)).real
     ph = cmath.exp(1j * math.pi * mu)
     num = 1.0 + t * ph
     den = 1.0 + t / ph

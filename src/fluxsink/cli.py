@@ -106,9 +106,14 @@ def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
-            cells = [[_g17(v) if isinstance(v, float) else v for v in row] for row in rows]
             # \n terminator and minimal quoting keep the bytes platform-independent
-            csv.writer(fh, lineterminator="\n").writerows(cells if header is None else [header, *cells])
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerows([] if header is None else [header])
+            if rows and all(isinstance(v, float) for row in rows for v in row):
+                line = ",".join(["%.17g"] * len(rows[0])) + "\n"  # _g17 per cell, never quoted
+                fh.write("".join([line % tuple(row) for row in rows]))
+            else:
+                out.writerows([_g17(v) if isinstance(v, float) else v for v in row] for row in rows)
         else:
             obj = dict(rows) if header is None else {name: [dict(zip(header, row)) for row in rows]}
             fh.write(json.dumps(obj, indent=2) + "\n")

@@ -60,8 +60,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import h1vp, hankel1, jv, jvp
 
+from . import specfun
 from .channels import (
     ChannelSolution,
     Elastic,
@@ -72,7 +72,6 @@ from .channels import (
 )
 from .errors import ConfigError, FitDegenerateError, StiffnessError
 from .oracle import POINTS_PER_WAVELENGTH, _check_tol, _lstsq_two_column
-from .specfun import hankel1_ladder
 
 __all__ = [
     "QuarticConfig",
@@ -213,7 +212,7 @@ def _wave_dressing(q: float, u):
 def _outgoing(nu, q: float, u: float):
     """Dressed H1_nu(u) D(u) and its u d/du; nu may be an array."""
     d, dp = _wave_dressing(q, u)
-    h, hd = hankel1(nu, u), h1vp(nu, u)
+    h, hd = specfun._sp.hankel1(nu, u), specfun._sp.h1vp(nu, u)
     return h * d, u * (hd * d + h * dp)
 
 
@@ -224,7 +223,7 @@ def _start_w(q: float) -> float:
 
 def _fit_waves(nu: float, q: float, u: np.ndarray, values: np.ndarray):
     """(c_plus, c_minus): coefficients of dressed H1, H2 = conj(H1 D) at coordinate u."""
-    basis_plus = hankel1(nu, u) * _wave_dressing(q, u)[0]
+    basis_plus = specfun._sp.hankel1(nu, u) * _wave_dressing(q, u)[0]
     return _lstsq_two_column(basis_plus, np.conj(basis_plus), values, "wave")
 
 
@@ -378,11 +377,11 @@ def _core_values(nu0: float, q: float) -> tuple[complex, complex]:
     c = c[keep[0] : keep[-1] + 1]
     x = math.sqrt(q)
     if nu.imag > 0.0:  # an instability band: nu = k + i mu
-        h, hd = hankel1_ladder(nu.imag, x, round(nu.real) + n[0], round(nu.real) + n[-1])
+        h, hd = specfun.hankel1_ladder(nu.imag, x, round(nu.real) + n[0], round(nu.real) + n[-1])
     else:
-        h, hd = hankel1(nu.real + n, x), h1vp(nu.real + n, x)
+        h, hd = specfun._sp.hankel1(nu.real + n, x), specfun._sp.h1vp(nu.real + n, x)
     w = np.where(n % 2, -c, c) * cmath.exp(0.5j * math.pi * (nu - nu0))
-    jn, jd = jv(n, x), jvp(n, x)
+    jn, jd = specfun._sp.jv(n, x), specfun._sp.jvp(n, x)
     return complex(w @ (jn * h)), complex(x * (w @ (jn * hd - jd * h)))
 
 

@@ -4,10 +4,10 @@ The radial problems in this package reduce to Bessel's equation
 
     y'' + y'/x + (1 - nu^2/x^2) y = 0
 
-with nu^2 of either sign.  For nu^2 >= 0 (order nu = mu real) every mature
-library applies and we delegate to scipy's AMOS bindings.  For nu^2 < 0
-(order nu = i*mu, mu > 0) scipy has no support; J_{i mu} and the
-outgoing Hankel function H1 are routed by region:
+with nu^2 of either sign.  For nu^2 >= 0 (order nu = mu real) we delegate to
+scipy's AMOS bindings, imported on first use (``_sp``; an inverse-square Sink
+run never needs them).  For nu^2 < 0 (order nu = i*mu, mu > 0) scipy has no
+support; J_{i mu} and the outgoing Hankel function H1 are routed by region:
 
 * ``x < max(30, 10*mu)``: the ascending power series in Python integer
   fixed point with exact term ratios, at about 64 + x/ln 2 bits so that
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import PoleError, RangeError
 
@@ -55,6 +54,19 @@ __all__ = [
 
 ORDER_MAX = 50.0
 X_MAX = 1.0e4
+
+
+class _DeferredSpecial:
+    """scipy.special, most of the package's import time, imported on first use."""
+
+    def __getattr__(self, name: str):  # the first fetch rebinds _sp to the module
+        global _sp
+        from scipy import special as _sp
+
+        return getattr(_sp, name)
+
+
+_sp = _DeferredSpecial()
 
 
 # =====================================================================
@@ -326,8 +338,7 @@ def bessel_j_pair(order: Order, x: float) -> tuple[complex, complex]:
     """(J_nu(x), dJ_nu/dx) for the given order."""
     x = _check_x(x)
     if order.kind == "real":
-        v = complex(_sp.jv(order.mu, x))
-        d = complex(_sp.jvp(order.mu, x))
+        v, d = complex(_sp.jv(order.mu, x)), complex(_sp.jvp(order.mu, x))
     elif x < _asym_edge(order.mu):
         v, d = _j_imag_series(order.mu, x)
     else:  # J = (H1 + H2) / 2
@@ -352,8 +363,7 @@ def hankel_pair(kind: int, order: Order, x: float) -> tuple[complex, complex]:
         raise RangeError(f"hankel kind must be 1 or 2, got {kind!r}")
     x = _check_x(x)
     if order.kind == "real":
-        v = complex(_sp.hankel1(order.mu, x))
-        d = complex(_sp.h1vp(order.mu, x))
+        v, d = complex(_sp.hankel1(order.mu, x)), complex(_sp.h1vp(order.mu, x))
     else:
         v, d = _h1_imag(order.mu, x)
     _check_finite("hankel", v, d)
@@ -407,10 +417,8 @@ def wronskian_check(order: Order, x: float) -> float:
     """
     x = _check_x(x)
     if order.kind == "real":
-        bj = float(_sp.jv(order.mu, x))
-        bjd = float(_sp.jvp(order.mu, x))
-        by = float(_sp.yv(order.mu, x))
-        byd = float(_sp.yvp(order.mu, x))
+        bj, bjd = float(_sp.jv(order.mu, x)), float(_sp.jvp(order.mu, x))
+        by, byd = float(_sp.yv(order.mu, x)), float(_sp.yvp(order.mu, x))
         _check_finite("wronskian_check", complex(bj, by), complex(bjd, byd))
         w = 2j * (bj * byd - bjd * by)
     else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxsink import cli, quartic
+from fluxsink import channels, cli, quartic, specfun
 from fluxsink.channels import (
     PHI_MIN,
     REGIME_EPS,
@@ -16,6 +16,7 @@ from fluxsink.channels import (
     Elastic,
     ElasticSubcritical,
     ElasticSupercritical,
+    PartialMode,
     Regime,
     ScatteringConfig,
     Sink,
@@ -180,6 +181,44 @@ def test_elastic_subcritical_zero_keeps_regular_branch():
     sol = solve_channel(cfg, mode, ElasticSubcritical(l=0.0))
     want = cmath.exp(1j * math.pi * (1 - mode.mu))
     assert rel(sol.s_matrix, want) < 1e-13
+
+
+def _subcritical_ratio_reference(cfg, mu, l):
+    # the ratio as it was written before l == 0 skipped the gamma ratio
+    t = l * (0.5 * cfg.p) ** (2.0 * mu) * (
+        specfun.complex_gamma(1.0 - mu) / specfun.complex_gamma(1.0 + mu)
+    ).real
+    ph = cmath.exp(1j * math.pi * mu)
+    r = (1.0 + t * ph) / (1.0 + t / ph)
+    return r / abs(r)
+
+
+def test_subcritical_ratio_skips_gamma_only_where_no_bit_moves(monkeypatch):
+    # 0 < mu < 1 makes Gamma(1 - mu) / Gamma(1 + mu) positive and finite, so
+    # t = l (p/2)^(2 mu) ratio is the signed zero of l at l = +-0.0: skipping
+    # the ratio there (a square Sink run's subcritical modes) moves no bit
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return specfun.complex_gamma(z)
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    monkeypatch.setattr(channels, "complex_gamma", counted)
+    for p in (0.3, 1.0, 3.0):
+        cfg = ScatteringConfig(beta=0.3, gamma=1.5, p=p)
+        for mu in (1e-9, *np.linspace(0.025, 0.975, 39).tolist(), 1.0 - 1e-9):
+            mode = PartialMode(m=2, nu_squared=mu * mu, mu=mu, regime=Regime.SUBCRITICAL)
+            for l in (0.0, -0.0):
+                got = channels._subcritical_ratio_from_l(cfg, mode, l)
+                assert bits(got) == bits(_subcritical_ratio_reference(cfg, mu, l)), (p, mu, l)
+            assert calls == []
+            got = channels._subcritical_ratio_from_l(cfg, mode, 0.7)
+            assert calls == [1.0 - mu, 1.0 + mu]
+            assert bits(got) == bits(_subcritical_ratio_reference(cfg, mu, 0.7))
+            calls.clear()
 
 
 def test_elastic_supercritical_unitary_and_periodic():

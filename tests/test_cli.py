@@ -1,6 +1,7 @@
 """Command-line driver: scenario round-trips, output schema, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -485,6 +487,85 @@ def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
     assert len((tmp_path / "out" / "modes.csv").read_text().splitlines()) == 22
+
+
+# SHA-256 of modes.csv + summary.csv + differential.csv (beta = 0.3, 721 phi),
+# frozen from the code that imported scipy.special with the package
+RUN_DIGESTS = {
+    "sink_gamma_0.8": "8cb278b5c7ebbd5c9cc2730852c168e030b516ab4be66fc244e7003e2078e04f",
+    "sink_gamma_1.5": "5fddc1f0213e1197ac798bdd9adde3be171b17696e6a7ce4dfa0ba6f1b135041",
+    "elastic_l_0.7": "84be70739c2ac69ea227b9ab8a67f5a5bdfae2d0639e636e91631e5b9b56b128",
+    "quartic_lam_2": "e9f0af2be0d17ab3b3c58494c4eb3f7f742ce8ceb065456c5cae9701e8ded904",
+}
+
+
+@pytest.mark.parametrize(
+    "name,kw,loads",
+    [
+        ("sink_gamma_0.8", dict(gamma=0.8), False),
+        ("sink_gamma_1.5", dict(gamma=1.5), False),  # m = 2 is subcritical, l = 0
+        ("elastic_l_0.7", dict(gamma=1.5, model="kind = elastic\nl = 0.7"), True),
+        ("quartic_lam_2", dict(kind="inverse_quartic", lam=2.0), True),
+    ],
+)
+def test_square_sink_runs_never_import_scipy_special(tmp_path, name, kw, loads):
+    # specfun imports scipy.special, most of the import time, on first use; a
+    # square Sink run needs it for no mode, an elastic l != 0 run needs it for
+    # Gamma(1 - mu) / Gamma(1 + mu), and a quartic run for its Bessel functions
+    out = tmp_path / "out"
+    path = _write(tmp_path, "s.ini", _scenario_text(beta=0.3, phi_samples=721, path=str(out), **kw))
+    code = (
+        "import sys, fluxsink, fluxsink.cli\n"
+        "assert not {'scipy.special', 'scipy.integrate'} & set(sys.modules), 'import'\n"
+        f"assert fluxsink.cli.main(['run', {path!r}]) == 0\n"
+        f"assert ('scipy.special' in sys.modules) is {loads}, 'run'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+    files = ("modes.csv", "summary.csv", "differential.csv")
+    assert hashlib.sha256(b"".join((out / f).read_bytes() for f in files)).hexdigest() == RUN_DIGESTS[name]
+
+
+def _csv_reference(header, rows):
+    # the writer without the all-float path: _g17 per float cell, then csv.writer
+    buf = io.StringIO()
+    cells = [[cli._g17(v) if isinstance(v, float) else v for v in row] for row in rows]
+    csv.writer(buf, lineterminator="\n").writerows(cells if header is None else [header, *cells])
+    return buf.getvalue()
+
+
+FLOAT_ROWS = [
+    (0.0, -0.0),
+    (math.nan, -math.nan),
+    (math.inf, -math.inf),
+    (5e-324, -5e-324),
+    (1.7976931348623157e308, -1.7976931348623157e308),
+    (np.float64(0.1), np.float64(-2.5e-300)),
+    (1.0 / 3.0, 1e16),
+    (123456789012345678.0, 1e-5),
+]
+
+
+@pytest.mark.parametrize(
+    "header,rows,all_float",
+    [
+        (("phi", "dsigma_dphi"), FLOAT_ROWS, True),
+        (("beta", "gamma", "sigma_total_abs"), [(0.1, 0.2, np.float64(0.3)), (-0.0, 2.5, 1e-300)], True),
+        (("phi", "dsigma_dphi"), [], True),
+        (None, [("model", "custom(modes 1, 2)"), ("m_lo", -2), ("sigma_total_abs", 0.5)], False),
+        (None, [("model", "custom(modes 1, 2)"), ("sigma_total_abs", 0.5)], False),
+        (("m", "regime", "mu"), [(1, "Subcritical", 0.5), (2, 'say "x", y', -0.0)], False),
+        (("a", "b"), [(0.5, 1), (0.25, 2.0)], False),
+    ],
+)
+def test_write_table_keeps_the_csv_writer_bytes(tmp_path, monkeypatch, header, rows, all_float):
+    # all-float tables take one "%.17g,..." format per row; any other cell
+    # keeps csv.writer, which quotes a label with a comma
+    want = _csv_reference(header, rows)
+    if all_float:  # the row format alone, no per-cell _g17
+        monkeypatch.setattr(cli, "_g17", None)
+    with open(cli._write_table(str(tmp_path), "t", "csv", header, rows), newline="") as fh:
+        assert fh.read() == want
+    assert ('"custom(modes 1, 2)"' in want) is (header is None)
 
 
 def test_wide_quartic_ranges_end_cleanly(tmp_path, capsys):
