@@ -108,7 +108,8 @@ def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
         if fmt == "csv":
             # \n terminator and minimal quoting keep the bytes platform-independent
             out = csv.writer(fh, lineterminator="\n")
-            out.writerows([] if header is None else [header])
+            if header is not None:
+                out.writerow(header)
             if rows and all(isinstance(v, float) for row in rows for v in row):
                 line = ",".join(["%.17g"] * len(rows[0])) + "\n"  # _g17 per cell, never quoted
                 fh.write("".join([line % tuple(row) for row in rows]))

@@ -66,7 +66,7 @@ class _DeferredSpecial:
         return getattr(_sp, name)
 
 
-_sp = _DeferredSpecial()
+_sp = _DeferredSpecial()  # reach it as specfun._sp: a name imported from here keeps the placeholder, an import per call
 
 
 # =====================================================================
@@ -338,7 +338,8 @@ def bessel_j_pair(order: Order, x: float) -> tuple[complex, complex]:
     """(J_nu(x), dJ_nu/dx) for the given order."""
     x = _check_x(x)
     if order.kind == "real":
-        v, d = complex(_sp.jv(order.mu, x)), complex(_sp.jvp(order.mu, x))
+        v = complex(_sp.jv(order.mu, x))
+        d = complex(_sp.jvp(order.mu, x))
     elif x < _asym_edge(order.mu):
         v, d = _j_imag_series(order.mu, x)
     else:  # J = (H1 + H2) / 2
@@ -363,7 +364,8 @@ def hankel_pair(kind: int, order: Order, x: float) -> tuple[complex, complex]:
         raise RangeError(f"hankel kind must be 1 or 2, got {kind!r}")
     x = _check_x(x)
     if order.kind == "real":
-        v, d = complex(_sp.hankel1(order.mu, x)), complex(_sp.h1vp(order.mu, x))
+        v = complex(_sp.hankel1(order.mu, x))
+        d = complex(_sp.h1vp(order.mu, x))
     else:
         v, d = _h1_imag(order.mu, x)
     _check_finite("hankel", v, d)
@@ -417,8 +419,10 @@ def wronskian_check(order: Order, x: float) -> float:
     """
     x = _check_x(x)
     if order.kind == "real":
-        bj, bjd = float(_sp.jv(order.mu, x)), float(_sp.jvp(order.mu, x))
-        by, byd = float(_sp.yv(order.mu, x)), float(_sp.yvp(order.mu, x))
+        bj = float(_sp.jv(order.mu, x))
+        bjd = float(_sp.jvp(order.mu, x))
+        by = float(_sp.yv(order.mu, x))
+        byd = float(_sp.yvp(order.mu, x))
         _check_finite("wronskian_check", complex(bj, by), complex(bjd, byd))
         w = 2j * (bj * byd - bjd * by)
     else:

@@ -508,7 +508,7 @@ RUN_DIGESTS = {
         ("quartic_lam_2", dict(kind="inverse_quartic", lam=2.0), True),
     ],
 )
-def test_square_sink_runs_never_import_scipy_special(tmp_path, name, kw, loads):
+def test_scipy_special_loads_only_when_a_run_needs_it(tmp_path, name, kw, loads):
     # specfun imports scipy.special, most of the import time, on first use; a
     # square Sink run needs it for no mode, an elastic l != 0 run needs it for
     # Gamma(1 - mu) / Gamma(1 + mu), and a quartic run for its Bessel functions
