@@ -358,9 +358,9 @@ def _quartic_worst() -> tuple:
 
 
 def _spectral_vs_ode_worst() -> float:
-    # beta = 0.3 and q = 2, 8 put m = -1..1 and more in instability bands
+    # beta = 0.3 and q = 2, 8 put m = -1..1 and more in instability bands, q = 100 all of -3..3
     cases = [(quartic.QuarticConfig(beta=0.3, lam=q, p=1.0), model)
-             for q in (0.3, 2.0, 8.0) for model in (channels.Sink(), channels.Elastic(theta=1.1))]
+             for q in (0.3, 2.0, 8.0, 100.0) for model in (channels.Sink(), channels.Elastic(theta=1.1))]
     return max(abs(a.s_matrix - b.s_matrix) for cfg, model in cases for a, b in zip(
         quartic.quartic_smatrices(cfg, range(-3, 4), model),
         quartic.quartic_smatrices(cfg, range(-3, 4), model, tol=1e-10)))

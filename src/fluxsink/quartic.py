@@ -25,25 +25,20 @@ f- = conj(f+); the origin basis has the same values and negated
 derivatives, so T = M^{-1} diag(1, -1) M.  f+ at x = 0 comes one of two
 ways, picked by the tol argument:
 
-* tol=None (the default) and q <= Q_SPECTRAL: from Floquet data, no ODE.
-  The characteristic exponent nu(a, q) makes a an eigenvalue of the Hill
-  matrix diag((nu + 2n)^2) + q (ones off the diagonal), whose eigenvector
-  gives c_2n; nu is real in stable bands, k + i mu in instability bands.
-  The Bessel-product series (DLMF 28.23) gives f+ = e^{i pi (nu - nu0)/2}
+* tol=None, the default: from Floquet data, no ODE, at every q.  The
+  characteristic exponent nu(a, q) (real in stable bands, k + i mu in
+  instability bands) comes from Hill's determinant as a continuant,
+  sin^2(pi nu / 2) = Delta(0) sin^2(pi sqrt(a) / 2) (Whittaker & Watson,
+  Modern Analysis, 19.42), and c_2n from the Hill recurrence
+  ((nu + 2n)^2 - a) c_2n + q (c_2n-2 + c_2n+2) = 0 (_floquet).  The
+  Bessel-product series (DLMF 28.23) gives f+ = e^{i pi (nu - nu0)/2}
   sum (-1)^n c_2n J_n(w) H1_{nu+n}(u), with w = u = sqrt(q) at x = 0, as
   Vogt & Wannier (Phys. Rev. 95, 1190, 1954) used for this core.
-* a float tol, or the default above Q_SPECTRAL at 1e-8: scipy's solve_ivp
-  (in _integrate, this module's only ODE call) integrates the dressed
-  outgoing waves of all orders inward from u = _start_w(q) as one
-  vector, each half-line in v = sqrt(q) e^{|x|}.
-  forward_fit_defect and backward_defect check this path.  The oracle's
-  scalar DOP853 kernel is not used here: one order at a time it ran a
-  21-order solve about 5x slower at q = 100 and 7x at q = 1000.  A numpy
-  vector port of the same kernel takes solve_ivp's steps and values; it
-  ran that q = 100 solve in 0.188 s against 0.203 s (nfev 14813 on
-  both), but the oracle's two-component stage 2.8x slower than the scalar
-  kernel (60.3 against 21.3 ms at tol 1e-6; its straight-line stages later
-  cut 10.9 to 8.7 ms), so one shared kernel would branch on its caller.
+* a float tol: scipy's solve_ivp (in _integrate, this module's only ODE
+  call, imported on first use) integrates the dressed outgoing waves of
+  all orders inward from u = _start_w(q) as one vector, each half-line in
+  v = sqrt(q) e^{|x|}.  It serves the checks: forward_fit_defect and
+  backward_defect check this path, and it checks the Floquet one.
 
 Wave-basis dressing: the exact solutions deviate from pure Hankels by
 the opposite end's potential tail, a + q^2/u^4 term in each local wave
@@ -89,13 +84,9 @@ __all__ = [
 REGIME_QUARTIC = "Quartic"
 FIT_U = (60.0, 120.0)  # floor of _start_w, and the outer start of backward_defect
 _START_BIAS = 1e-9
-# Largest coupling q = p lam accepted.  The inward solve's work grows like
-# q^0.4 (a 21-mode run takes seconds at q = 1e4), and past q ~ 4e18 the
-# start point _start_w(q) falls below sqrt(q), i.e. on the wrong side of x = 0.
+# Largest coupling q = p lam accepted: the Floquet exponent and S are checked against references up to
+# here, and the instability exponent mu stays below specfun.ORDER_MAX (54.15 at q = 1e4).
 Q_MAX = 1e4
-# Largest q whose default T comes from Floquet data (no ODE): the range checked against
-# 40-digit references and the inward solve.  Above it the default is the inward solve at 1e-8.
-Q_SPECTRAL = 30.0
 _CACHE_SIZE = 128
 _cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first; tol None: Floquet
 
@@ -302,79 +293,92 @@ def _mirror_matrix(f: complex, g: complex, wronskian: float, nu: float, q: float
     return matrix
 
 
-def _floquet_start(nu0: float, q: float) -> complex:
-    """Characteristic exponent of (a = nu0^2, q), unrefined, from a companion matrix.
+def _hill(k: int, t, nu0: float, q: float, n: int) -> tuple:
+    """(P, dP/dnu) at nu = k + t over rows j = -n..n of H - a, by the continuant recurrence.
 
-    ((nu + 2n)^2 - a) c_n + q (c_{n-1} + c_{n+1}) = 0 is nu^2 c + nu D c + K c = 0,
-    D = diag(4n), K = diag(4n^2 - a) + q (ones off the diagonal).  Roots whose
-    eigenvector reaches the truncation edge are dropped; the rest (+-nu + 2k or
-    conjugates) move by 2k to peak at n = 0, take Re, Im >= 0, and the one nearest nu0 wins.
+    Row j holds (t + k + 2j - nu0)(t + k + 2j + nu0) = (nu + 2j)^2 - a, exact near a root, and q
+    beside it, all over 4 j^2 for j != 0.
     """
-    n = 8 + math.ceil(math.sqrt(q))
-    k = np.arange(-n, n + 1)
-    stiff = np.diag(4.0 * k * k - nu0 * nu0) + q * (np.eye(2 * n + 1, k=1) + np.eye(2 * n + 1, k=-1))
-    roots, vectors = np.linalg.eig(np.block([[0.0 * stiff, np.eye(2 * n + 1)], [-stiff, -np.diag(4.0 * k)]]))
-    c = np.abs(vectors[: 2 * n + 1])
-    inside = c[[0, 1, -2, -1]].sum(axis=0) < 1e-4 * c.max(axis=0)
-    if not inside.any():
-        raise FitDegenerateError(f"no Floquet exponent resolved (nu={nu0}, q={q})")
-    roots = roots[inside] + 2 * (np.argmax(c[:, inside], axis=0) - n)
-    roots = np.abs(roots.real) + 1j * np.abs(roots.imag)
-    return complex(roots[np.argmin(np.abs(roots - nu0))])
+    p, p_prev, dp, dp_prev, off = 1.0, 0.0, 0.0, 0.0, 0.0
+    for j in range(-n, n + 1):
+        scale = 4.0 * j * j or 1.0
+        lo, hi = t + (k + 2 * j - nu0), t + (k + 2 * j + nu0)
+        pair = off * q / scale
+        dp, dp_prev = ((lo + hi) * p + lo * hi * dp) / scale - pair * dp_prev, dp
+        p, p_prev = lo * hi * p / scale - pair * p_prev, p
+        off = q / scale
+    return p, dp
+
+
+def _coefficients(k: int, t, nu0: float, q: float, n: int) -> tuple:
+    """(c, r): c_2j for j = -n..n with c_0 = 1, and the residual r of row 0.
+
+    Backward recursion from c_{+-(n+1)} = 0 keeps each side's decaying solution, so only
+    row 0 can fail: it holds where nu = k + t is an exponent whose c peaks at j = 0.
+    """
+    c = np.ones(2 * n + 1, dtype=complex)
+    for side in (1, -1):
+        ratio, ratios = 0.0, []
+        for j in range(n, 0, -1):
+            b = k + 2 * side * j
+            ratio = -q / ((t + (b - nu0)) * (t + (b + nu0)) + q * ratio)
+            ratios.append(ratio)
+        c[n + side * np.arange(1, n + 1)] = np.cumprod(ratios[::-1])
+    return c, (t + (k - nu0)) * (t + (k + nu0)) + q * (c[n - 1] + c[n + 1])
 
 
 def _floquet(nu0: float, q: float) -> tuple[complex, np.ndarray]:
     """(nu, c): characteristic exponent of (a = nu0^2, q) and c_{2n}, n = -N..N, c_0 = 1.
 
-    Newton on det(H - a), H = diag((nu + 2n)^2) + q (ones off the diagonal),
-    whose log-derivative is tr((H - a)^{-1} diag(2 (nu + 2n))).  Near an integer
-    k the roots k +- t pair up, t real (stable) or imaginary (instability band);
-    the companion cannot tell which when t is tiny, so Newton then starts off
-    both axes and real t^2 decides.  c is the smallest right singular vector of
-    H - a, which is defective at a band centre; of k +- t, the one whose c_0 is
-    within 10 of the peak is kept (the other's c_0 can be 1e-48 of it).
+    cos(pi nu) = 1 + (pi^2 / 2) P(0) over all rows: sin^2(pi nu / 2) = Delta(0) sin^2(pi sqrt(a) / 2)
+    (Whittaker & Watson 19.42), and _hill's row scaling has no pole at a = 4 k^2.  Rows |j| > n add
+    prod (1 - a / 4 j^2), a Gamma ratio, and per side exp(-sum e - (3/2) sum e^2), e_j = xi_j xi_{j-1},
+    xi_j = q / (4 j^2 - a), by Euler-Maclaurin to O(q^2 a^2 / n^7).  cos gives nu = k +- t, with t in
+    [0, 1/2] or i mu.  Below |cos| = 1e3, where acos loses digits and P's terms do not yet cancel,
+    Newton polishes tau = t^2, in which P is even.  Of the representatives +-nu + 2j, one whose c_0 is
+    within 10 of its peak and that solves row 0, relative to its scale, is kept; else FitDegenerateError.
     """
-    a = nu0 * nu0
-    nu = _floquet_start(nu0, q)
-    k = round(nu.real)
-    if abs(nu - k) < 1e-7:  # keep the side of k, leave the real axis
-        nu = k + math.copysign(max(abs(nu.real - k), 1e-9), nu.real - k) + 1e-9j
-    n = 20 + math.ceil(math.sqrt(q))
-    shift = 2.0 * np.arange(-n, n + 1)
-    hill = q * (np.eye(2 * n + 1, k=1) + np.eye(2 * n + 1, k=-1)) + 0j
-    for _ in range(60):
-        np.fill_diagonal(hill, (nu + shift) ** 2 - a)
-        step = 1.0 / (np.linalg.inv(hill).diagonal() @ (2.0 * (nu + shift)))
-        if abs(step) <= 1e-14 * max(1.0, abs(nu)):
-            break
-        nu -= step * min(1.0, 0.25 / abs(step))
-    k = round(nu.real)
-    t2 = ((nu - k) ** 2).real
-    nu = k + (complex(math.copysign(math.sqrt(t2), nu.real - k)) if t2 >= 0.0 else 1j * math.sqrt(-t2))
-    for _ in range(2):
-        np.fill_diagonal(hill, (nu + shift) ** 2 - a)
-        inv = np.linalg.inv(hill)
-        c = np.ones(2 * n + 1, dtype=complex)
-        for _ in range(3):  # inverse iteration on (H - a)^H (H - a)
-            c = inv @ (inv.conj().T @ c)
-            c /= c[np.argmax(np.abs(c))]
-        if abs(c[n]) >= 0.1:  # c_0 near the peak: a usable normalization
-            break
-        nu = complex(abs(nu.real + 2 * (int(np.argmax(np.abs(c))) - n)), abs(nu.imag))
-    if abs(c[n]) < 0.1 or np.max(np.abs(hill @ c)) > 1e-10 * (1.0 + a + 2.0 * q):  # also: Newton stalled
+    a, s = nu0 * nu0, 0.5 * nu0
+    n = 20 + math.ceil(10.0 * (math.sqrt(q) + nu0))
+    tail = 4.0 * math.lgamma(n + 1) - 2.0 * (math.lgamma(n + 1 - s) + math.lgamma(n + 1 + s))
+    tail -= q * q / 8.0 * (1.0 / (3.0 * n**3) + (0.1 * a - 1.0 / 15.0) / n**5) + 3.0 * q**4 / (1792.0 * n**7)
+    cos = 1.0 + 0.5 * math.pi**2 * _hill(0, 0.0, nu0, q, n)[0] * math.exp(tail)
+    k = round(nu0)
+    t = cmath.acos(cos * (-1) ** k).conjugate() / math.pi  # cos(pi (k + t)) = (-1)^k cos(pi t)
+    if t.real > 0.5:  # nu lies nearer the next integer
+        k, t = k + (1 if nu0 >= k else -1), 1.0 - t.conjugate()
+    n = 20 + math.ceil(2.0 * math.sqrt(q))
+    if abs(cos) < 1e3:
+        tau = (t * t).real
+        for _ in range(8):  # Newton, to convergence or to rounding
+            root = cmath.sqrt(tau) or 1e-300
+            p, dp = _hill(k, root, nu0, q, n + k)
+            step = p.real / (dp / (2.0 * root)).real
+            tau -= step
+            if abs(step) <= 1e-15 * abs(tau):
+                break
+        t = cmath.sqrt(tau)
+    found = []
+    for kk, t in ((k, t), (k, -t)) if not t.imag else ((k, t),):  # k +- t share cos; in a gap, conjugates
+        for _ in range(4):  # move by 2j to a representative whose c_0 is within 10 of its peak
+            c, res = _coefficients(kk, t, nu0, q, n)
+            if np.abs(c).max() <= 10.0:
+                break
+            kk += 2 * (int(np.argmax(np.abs(c))) - n)
+        found.append((np.abs(c).max() > 10.0, abs(res), kk + t, c))
+    peaked_off, res, nu, c = min(found, key=lambda item: item[:2])
+    if peaked_off or not res <= 1e-10 * (1.0 + abs(nu) ** 2 + a + 2.0 * q):
         raise FitDegenerateError(f"Floquet exponent not resolved (nu={nu0}, q={q})")
-    return nu, c / c[n]
+    return nu, c
 
 
 def _core_values(nu0: float, q: float) -> tuple[complex, complex]:
     """(f+, df+/dx) at x = 0 by the series in the module docstring (DLMF 28.23).
 
-    df+/dx takes sqrt(q) (J_n H1'_{nu+n} - J_n' H1_{nu+n}); |c_2n| < 1e-20 is dropped.
+    df+/dx takes sqrt(q) (J_n H1'_{nu+n} - J_n' H1_{nu+n}).
     """
     nu, c = _floquet(nu0, q)
-    keep = np.nonzero(np.abs(c) >= 1e-20)[0]
-    n = np.arange(keep[0], keep[-1] + 1) - len(c) // 2
-    c = c[keep[0] : keep[-1] + 1]
+    n = np.arange(len(c)) - len(c) // 2
     x = math.sqrt(q)
     if nu.imag > 0.0:  # an instability band: nu = k + i mu
         h, hd = specfun.hankel1_ladder(nu.imag, x, round(nu.real) + n[0], round(nu.real) + n[-1])
@@ -386,17 +390,12 @@ def _core_values(nu0: float, q: float) -> tuple[complex, complex]:
 
 
 def connection_matrices(cfg: QuarticConfig, ms, tol: float | None = None) -> list:
-    """Connection matrices of modes ms.
+    """Connection matrices of modes ms, cached on (nu, q, tol): mass and the sign of m - beta do not enter.
 
-    tol=None, the default, takes T from Floquet data for q <= Q_SPECTRAL,
-    with no ODE, and from the inward solve at tol 1e-8 above it.  A float
-    tol always runs the inward solve at that tolerance; one solve covers
-    all uncached orders.  T depends on (nu, q, tol) only and is cached on
-    that key: mass and the sign of m - beta do not enter.
+    tol=None, the default, takes T from Floquet data at every q, with no ODE.  A float tol runs the
+    inward solve at that tolerance, one solve for all uncached orders; it serves the checks.
     """
     q = cfg.q
-    if tol is None and q > Q_SPECTRAL:
-        tol = 1e-8
     if tol is not None:
         _check_tol(tol)
     keys = [(abs(m - cfg.beta), q, tol) for m in ms]

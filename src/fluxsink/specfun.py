@@ -15,14 +15,14 @@ support; J_{i mu} and the outgoing Hankel function H1 are routed by region:
   ``_series_imag_exact``).
 * ``x >= max(30, 10*mu)``: Hankel's large-argument expansion, summed in
   double precision.  At x = 10*mu the smallest term is below ~1e-12 for
-  every mu <= 50.
+  every mu <= 60.
 
 Below the edge H1 is formed from J_{i mu} and J_{-i mu} = conj J_{i mu}.
 The ingoing H2 is never evaluated on its own: at real argument it is the
 reflection of H1, H2_mu = conj H1_mu and H2_{i mu} = e^{-mu pi} conj H1_{i mu}
 (DLMF 10.11).
 
-Supported box: order magnitude mu <= 50 and 0 < x <= 1e4.  Outside it the
+Supported box: order magnitude mu <= 60 and 0 < x <= 1e4.  Outside it the
 functions raise RangeError rather than silently losing digits.
 hankel1_ladder carries one pair of order i*mu to the complex orders
 k + i*mu by recurrence, for the quartic core's instability bands.
@@ -52,7 +52,7 @@ __all__ = [
     "wronskian_check",
 ]
 
-ORDER_MAX = 50.0
+ORDER_MAX = 60.0
 X_MAX = 1.0e4
 
 

@@ -15,7 +15,7 @@ lost digit cannot be frozen.  About 2 s in all.
 
 import mpmath as mp
 
-MUS = ("1e-6", "0.05", "0.9", "2.2", "10", "40", "50")
+MUS = ("1e-6", "0.05", "0.9", "2.2", "10", "40", "50", "55", "60")
 
 
 def low_points(mu: float) -> tuple:

@@ -466,36 +466,41 @@ def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
 
 
 def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
-    # the import, and a default lam = 2 quartic run (21 modes), in a fresh
-    # interpreter; the oracle's generated DOP853 kernel is built on the first
-    # oracle call, not at import, so set-up never pays for it
-    path = _write(tmp_path, "q2.ini", _scenario_text(
-        kind="inverse_quartic", lam=2.0, p=1.0, model="kind = sink", phi_samples=721,
-        path=str(tmp_path / "out"),
-    ))
+    # the import, and default quartic runs (21 modes) at lam = 2, 100 and 1e4,
+    # in a fresh interpreter: the default connection is Floquet data across the
+    # box; the oracle's generated DOP853 kernel is built on the first oracle
+    # call, not at import, so set-up never pays for it
+    paths = [_write(tmp_path, f"q{lam:g}.ini", _scenario_text(
+        kind="inverse_quartic", lam=lam, p=1.0, model="kind = sink", phi_samples=721,
+        path=str(tmp_path / f"out{lam:g}"),
+    )) for lam in (2.0, 100.0, 1e4)]
     code = (
         "import sys, fluxsink, fluxsink.cli\n"
         "from fluxsink import oracle\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
         "assert oracle._kernel.cache_info().currsize == 0, 'kernel at import'\n"
-        f"assert fluxsink.cli.main(['run', {path!r}]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'run'\n"
+        f"for path in {paths!r}:\n"
+        "    assert fluxsink.cli.main(['run', path]) == 0\n"
+        "    assert 'scipy.integrate' not in sys.modules, 'run ' + path\n"
         "assert oracle._kernel.cache_info().currsize == 0, 'kernel on run'\n"
         "cfg = fluxsink.channels.ScatteringConfig(beta=0.4, gamma=0.8, p=1.3)\n"
         "oracle.oracle_smatrix(cfg, fluxsink.channels.classify_mode(cfg, 0), fluxsink.channels.Sink())\n"
         "assert oracle._kernel.cache_info().currsize == 1, 'kernel on oracle call'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
-    assert len((tmp_path / "out" / "modes.csv").read_text().splitlines()) == 22
+    for lam in (2.0, 100.0, 1e4):
+        assert len((tmp_path / f"out{lam:g}" / "modes.csv").read_text().splitlines()) == 22
 
 
 # SHA-256 of modes.csv + summary.csv + differential.csv (beta = 0.3, 721 phi),
-# frozen from the code that imported scipy.special with the package
+# frozen from the code that imported scipy.special with the package; the
+# quartic one from the continuant exponent, whose S_m are within 7e-15 of
+# 40-digit values
 RUN_DIGESTS = {
     "sink_gamma_0.8": "8cb278b5c7ebbd5c9cc2730852c168e030b516ab4be66fc244e7003e2078e04f",
     "sink_gamma_1.5": "5fddc1f0213e1197ac798bdd9adde3be171b17696e6a7ce4dfa0ba6f1b135041",
     "elastic_l_0.7": "84be70739c2ac69ea227b9ab8a67f5a5bdfae2d0639e636e91631e5b9b56b128",
-    "quartic_lam_2": "e9f0af2be0d17ab3b3c58494c4eb3f7f742ce8ceb065456c5cae9701e8ded904",
+    "quartic_lam_2": "48e6898b23303e4fd7a5bbde4e0c6a5d601e2a7e4a7acc13b3256ab65e912fda",
 }
 
 
@@ -768,7 +773,7 @@ def test_gamma_past_bound_is_config_error(tmp_path, capsys):
     "model", ["kind = sink", "kind = elastic\ntheta = 0.7"], ids=["sink", "elastic"]
 )
 def test_large_gamma_run_needs_only_gamma_function(tmp_path, monkeypatch, model):
-    # gamma = 60 puts orders up to mu = 60 past specfun's |order| <= ORDER_MAX
+    # gamma = 70 puts orders up to mu = 70 past specfun's |order| <= ORDER_MAX
     # box; a run reaches them through complex_gamma alone, never the Bessel
     # or Hankel evaluators, wherever a module binds them
     def refuse(*args, **kwargs):
@@ -778,8 +783,8 @@ def test_large_gamma_run_needs_only_gamma_function(tmp_path, monkeypatch, model)
         for name in ("bessel_j_pair", "hankel_pair"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
-    text = _scenario_text(gamma=60, model=model, phi_samples=7, path=str(tmp_path / "out"))
-    assert cli.main(["run", _write(tmp_path, "g60.ini", text)]) == 0
+    text = _scenario_text(gamma=70, model=model, phi_samples=7, path=str(tmp_path / "out"))
+    assert cli.main(["run", _write(tmp_path, "g70.ini", text)]) == 0
     rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
     assert max(float(r.split(",")[3]) for r in rows) > specfun.ORDER_MAX
 

@@ -43,6 +43,30 @@ FLOQUET_REFERENCE = (
     (0.1957611404423356, 30.0, 4, (0.0007763373084243853+0.0006910229347345131j), (0.9949623177242772-0.10024961999296723j)),
     (0.0, 0.005064456830183533, -11, (0.9999999999999999+1.526095451504886e-08j), (0.9999999999999999+1.526095451504886e-08j)),
     (7.123056334383823e-08, 0.00023157896270033576, 10, (0.9999999999999749+2.2381995994082103e-07j), (0.9999999999999749+2.2381995994082103e-07j)),
+    (0.3, 100.0, 2, (-2.9322174424038896e-09+5.800216791362617e-08j), (0.21066279997970355+0.9775587883624757j)),
+    (0.0, 100.0, 12, (0.010013864986866506-0.005573977429628444j), (-0.35592909220652513-0.9345129647688356j)),
+    (0.0, 100.0, 16, (-0.6876618461149892+0.7259126940964991j), (-0.687772886788243+0.7259259302428634j)),
+    (0.3, 1000.0, -1, (5.514372093950969e-24-1.2901214112121287e-24j), (0.896602335737065-0.4428365968964617j)),
+    (0.3, 10000.0, 0, (1.8142069440014998e-36+3.6966015310876656e-37j), (0.9199282145950124+0.39208682710852827j)),
+)
+
+
+# (q, nu0, nu) from tests/make_floquet_reference.py: the characteristic
+# exponent from the rescaled monodromy over one period, reduced to k + i mu
+# with k in {0, 1} (an instability band) or to [0, 1] (a stable one)
+EXPONENT_REFERENCE = (
+    (300.0, 0.3, (1+9.314044784971333j)),
+    (300.0, 22.045407685048602, (1+1.8375314389834907j)),
+    (300.0, 29.393876913398135, (0.37619371881985664+0j)),
+    (1000.0, 0.3, (1+17.26871295490866j)),
+    (1000.0, 40.24922359499622, 2.971438087572777j),
+    (1000.0, 53.665631459994955, (0.18969900188864683+0j)),
+    (3000.0, 0.3, 29.1222109326978j),
+    (3000.0, 69.71370023173351, 4.616317579606902j),
+    (3000.0, 92.951600308978, (0.2606000632470249+0j)),
+    (10000.0, 0.3, 54.14866410651348j),
+    (10000.0, 127.27922061357856, (1+9.61415662720904j)),
+    (10000.0, 169.7056274847714, (0.15817521738174212+0j)),
 )
 
 
@@ -293,41 +317,58 @@ def test_high_orders_finite_and_approach_pure_flux(monkeypatch, p, model):
 @pytest.mark.parametrize("beta,q,m,sink,elastic", FLOQUET_REFERENCE)
 def test_floquet_matches_40_digit_reference(monkeypatch, beta, q, m, sink, elastic):
     # stable and instability bands, beta = 0 integer orders down to
-    # mu = 4.7e-10, a band centre, where the Hill matrix is defective, and
-    # orders within 1e-7 of an integer
+    # mu = 4.7e-10, a band centre, where the Hill matrix is defective,
+    # orders within 1e-7 of an integer, and q up to Q_MAX
     monkeypatch.setattr(quartic, "_cache", {})
     cfg = QuarticConfig(beta=beta, lam=q, p=1.0)
     assert abs(quartic_smatrix(cfg, m, Sink()).s_matrix - sink) <= 1e-10
     assert abs(quartic_smatrix(cfg, m, Elastic(theta=1.1)).s_matrix - elastic) <= 1e-10
 
 
-def test_default_connection_is_floquet_up_to_q_spectral(monkeypatch):
+@pytest.mark.parametrize("q,nu0,want", EXPONENT_REFERENCE)
+def test_exponent_matches_monodromy(q, nu0, want):
+    # the exponent itself, band parity included: S does not see a wrong one
+    # deep in an instability band, where any nu gives a series that solves
+    nu = quartic._floquet(nu0, q)[0]
+    if nu.imag:
+        got = complex(round(nu.real) % 2, nu.imag)
+    else:
+        t = nu.real % 2.0
+        got = complex(min(t, 2.0 - t))
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_default_connection_is_floquet_across_the_box(monkeypatch):
+    # tol=None means Floquet data at every q, up to Q_MAX
     monkeypatch.setattr(quartic, "_cache", {})
-    for q, tol in ((quartic.Q_SPECTRAL, None), (1.01 * quartic.Q_SPECTRAL, 1e-8)):
+    for q in (30.0, 30.3, quartic.Q_MAX):
         connection_matrix(QuarticConfig(beta=0.3, lam=q, p=1.0), 1)
-        assert list(quartic._cache) == [(0.7, q, tol)]
+        assert list(quartic._cache) == [(0.7, q, None)]
         quartic._cache.clear()
 
 
-@pytest.mark.parametrize("q", [0.3, 2.0, 8.0, 30.0])
+@pytest.mark.parametrize("q", [0.3, 2.0, 8.0, 30.0, 100.0])
 def test_floquet_matches_inward_solve(q):
-    # the inward solve at tol 1e-10 is good to ~7e-9 here, the Floquet S to ~1e-14
+    # the inward solve at tol 1e-10 is good to ~7e-9 here, the Floquet S to ~1e-14;
+    # at q = 100 its start bias reaches 1.3e-8 at |m| = 12 (beta = 0, elastic), where
+    # FLOQUET_REFERENCE pins the Floquet S, so that row compares |m| <= 6
+    ms = range(-12, 13) if q <= 30.0 else range(-6, 7)
     for beta in (0.0, 0.3):
         cfg = QuarticConfig(beta=beta, lam=q, p=1.0)
         for model in (Sink(), Elastic(theta=1.1)):
-            ode = quartic.quartic_smatrices(cfg, range(-12, 13), model, tol=1e-10)
-            floquet = quartic.quartic_smatrices(cfg, range(-12, 13), model)
+            ode = quartic.quartic_smatrices(cfg, ms, model, tol=1e-10)
+            floquet = quartic.quartic_smatrices(cfg, ms, model)
             assert max(abs(a.s_matrix - b.s_matrix) for a, b in zip(ode, floquet)) <= 1e-8, (beta, model)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
-    log_q=st.floats(-4.0, math.log10(quartic.Q_SPECTRAL)),
+    log_q=st.floats(-4.0, math.log10(quartic.Q_MAX)),
     beta=st.floats(0.0, 1.0, exclude_max=True),
     m=st.integers(-12, 12),
 )
 def test_floquet_unitarity_property(log_q, beta, m):
-    cfg = QuarticConfig(beta=beta, lam=min(10.0**log_q, quartic.Q_SPECTRAL), p=1.0)
+    cfg = QuarticConfig(beta=beta, lam=min(10.0**log_q, quartic.Q_MAX), p=1.0)
     sink = quartic_smatrix(cfg, m, Sink())
     assert abs(sink.s_matrix) <= 1.0 + 1e-12 and sink.sigma_abs >= 0.0
     elastic = quartic_smatrix(cfg, m, Elastic(theta=1.1))
