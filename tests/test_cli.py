@@ -468,8 +468,8 @@ def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
 def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
     # the import, and default quartic runs (21 modes) at lam = 2, 100 and 1e4,
     # in a fresh interpreter: the default connection is Floquet data across the
-    # box; the oracle's generated DOP853 kernel is built on the first oracle
-    # call, not at import, so set-up never pays for it
+    # box; the oracle's DOP853 tableau (and scipy.integrate with it) is loaded
+    # on the first oracle call, not at import, so set-up never pays for it
     paths = [_write(tmp_path, f"q{lam:g}.ini", _scenario_text(
         kind="inverse_quartic", lam=lam, p=1.0, model="kind = sink", phi_samples=721,
         path=str(tmp_path / f"out{lam:g}"),
@@ -478,14 +478,14 @@ def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):
         "import sys, fluxsink, fluxsink.cli\n"
         "from fluxsink import oracle\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
-        "assert oracle._kernel.cache_info().currsize == 0, 'kernel at import'\n"
+        "assert oracle._tableau.cache_info().currsize == 0, 'tableau at import'\n"
         f"for path in {paths!r}:\n"
         "    assert fluxsink.cli.main(['run', path]) == 0\n"
         "    assert 'scipy.integrate' not in sys.modules, 'run ' + path\n"
-        "assert oracle._kernel.cache_info().currsize == 0, 'kernel on run'\n"
+        "assert oracle._tableau.cache_info().currsize == 0, 'tableau on run'\n"
         "cfg = fluxsink.channels.ScatteringConfig(beta=0.4, gamma=0.8, p=1.3)\n"
         "oracle.oracle_smatrix(cfg, fluxsink.channels.classify_mode(cfg, 0), fluxsink.channels.Sink())\n"
-        "assert oracle._kernel.cache_info().currsize == 1, 'kernel on oracle call'\n"
+        "assert oracle._tableau.cache_info().currsize == 1, 'tableau on oracle call'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
     for lam in (2.0, 100.0, 1e4):
