@@ -491,7 +491,7 @@ def test_subcritical_refinement_near_the_upper_edge(beta, log_gap, p, m, kind, u
     assert err8 <= max(err6, 1e-9), (err6, err8)
 
 
-# oracle_smatrix at commit COMMIT (DOP853 in blocks of 2x2 step maps), as
+# oracle_smatrix at commit 60daabf (DOP853 in blocks of 2x2 step maps), as
 # float.hex of (Re S, Im S).  The oracle is the evidence for the closed forms:
 # a change to its integrator keeps every bit here, or re-freezes these tables
 # once, with |dS| and the distance to the closed form of every value stated.
