@@ -444,15 +444,15 @@ def test_quartic_sink_run(tmp_path):
 
 def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
     # beta = 0: five modes but three orders |m|; the default connection
-    # comes from Floquet data, so the run makes no solve_ivp call at all
+    # comes from Floquet data, so the run makes no _dop853 call at all
     calls = []
-    solve_ivp = scipy.integrate.solve_ivp
+    dop853 = quartic._dop853
 
-    def counting_solve_ivp(*args, **kwargs):
+    def counting_dop853(*args):
         calls.append(args)
-        return solve_ivp(*args, **kwargs)
+        return dop853(*args)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(quartic, "_dop853", counting_dop853)
     monkeypatch.setattr(quartic, "_cache", {})
     text = _scenario_text(
         kind="inverse_quartic", beta=0.0, lam=1.3, p=1.0,
@@ -463,6 +463,20 @@ def test_quartic_run_makes_no_ode_solve(tmp_path, monkeypatch):
     rows = (tmp_path / "out" / "modes.csv").read_text().splitlines()[1:]
     s = {int(r.split(",")[0]): complex(*map(float, r.split(",")[4:6])) for r in rows}
     assert abs(s[-2] - s[2]) <= 1e-14 and abs(s[-1] - s[1]) <= 1e-14  # shared T
+
+
+def test_quartic_checks_make_no_solve_ivp_call(monkeypatch):
+    # the float-tol inward solve, the forward fit and the round trip all run on
+    # the oracle's DOP853: scipy's solve_ivp is the test reference only
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(quartic, "_cache", {})
+    cfg = quartic.QuarticConfig(beta=0.0, lam=1.0, p=1.0)
+    assert len(quartic.connection_matrices(cfg, [0, 1], 1e-8)) == 2
+    assert quartic.forward_fit_defect(cfg, 0) <= 1e-6
+    assert quartic.backward_defect(cfg, 0) <= 1e-5
 
 
 def test_default_quartic_run_never_imports_the_ode_solver(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxsink import quartic
 from fluxsink.channels import (
     Custom,
     ElasticSubcritical,
@@ -150,8 +151,16 @@ def test_supercritical_sink_profile_matches_series():
 # ---------------------------------------------------------------------
 
 
-def _oracle_stage(stage, regime):
-    """(coefficient function, solve_ivp rhs, t0, t1, y0, t_eval, step-cap scale) as integrate_radial builds them."""
+def _oracle_stage(stage, regime, tol):
+    """(coefficient function, solve_ivp rhs, t0, t1, y0, t_eval, step cap) of an integrate_radial or quartic stage."""
+    if stage == "mathieu":
+        # the quartic inward stage in t = -v from -u0 to -sqrt(q), v = sqrt(q) e^{|x|}: R_t = -R_v
+        q, nu = 8.0, 1.7
+        coef, u0 = quartic._coef(nu * nu, q), quartic._start_w(q)
+        val, der = quartic._outgoing(nu, q, u0)
+        t0, t1 = -u0, -math.sqrt(q)
+        cap = min(2.0 * math.pi / 20.0, 26.5 * tol**0.3)
+        return coef, _vector_rhs(coef), t0, t1, (val, -der), np.linspace(t0, t1, 700), cap
     if regime == Regime.SUPERCRITICAL:
         cfg, m = ScatteringConfig(beta=0.4, gamma=0.8, p=1.3), 0
     else:
@@ -173,7 +182,7 @@ def _oracle_stage(stage, regime):
 
         t0, t1 = 2.0 / cfg.p, 100.0 / cfg.p
         n, y0, scale = 700, (0.3 - 1.2j, 0.8 + 0.1j), 1.0 / cfg.p
-    return coef, _vector_rhs(coef), t0, t1, y0, np.linspace(t0, t1, n), scale
+    return coef, _vector_rhs(coef), t0, t1, y0, np.linspace(t0, t1, n), min(0.9, 26.5 * tol**0.3) * scale
 
 
 def _vector_rhs(coef):
@@ -186,13 +195,15 @@ def _vector_rhs(coef):
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
-@pytest.mark.parametrize("regime", [Regime.SUPERCRITICAL, Regime.SUBCRITICAL])
-@pytest.mark.parametrize("stage", ["log-radius", "radius"])
+@pytest.mark.parametrize(
+    "stage,regime",
+    [(stage, regime) for stage in ("log-radius", "radius") for regime in (Regime.SUPERCRITICAL, Regime.SUBCRITICAL)]
+    + [pytest.param("mathieu", None, id="mathieu")],
+)
 def test_dop853_matches_solve_ivp(stage, regime, tol):
     from scipy.integrate import solve_ivp
 
-    coef, rhs_vec, t0, t1, y0, t_eval, scale = _oracle_stage(stage, regime)
-    max_step = min(0.9, 26.5 * tol**0.3) * scale
+    coef, rhs_vec, t0, t1, y0, t_eval, max_step = _oracle_stage(stage, regime, tol)
     y0 = np.asarray(y0, dtype=complex)
     ref = solve_ivp(
         rhs_vec, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=tol,
