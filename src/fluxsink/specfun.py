@@ -6,13 +6,16 @@ The radial problems in this package reduce to Bessel's equation
 
 with nu^2 of either sign.  For nu^2 >= 0 (order nu = mu real) we delegate to
 scipy's AMOS bindings, imported on first use (``_sp``; an inverse-square Sink
-run never needs them).  For nu^2 < 0 (order nu = i*mu, mu > 0) scipy has no
-support; J_{i mu} and the outgoing Hankel function H1 are routed by region:
+run never needs them); a value and its derivative come from one ufunc call
+over the orders mu - 1, mu, mu + 1.  For nu^2 < 0 (order nu = i*mu, mu > 0)
+scipy has no support; J_{i mu} and the outgoing Hankel function H1 are
+routed by region:
 
 * ``x < max(30, 10*mu)``: the ascending power series in Python integer
   fixed point with exact term ratios, at about 64 + x/ln 2 bits so that
   the alternating sum's ~e^x cancellation leaves double precision (see
-  ``_series_imag_exact``).
+  ``_series_imag_exact``); 0.009-2.4 ms per value and derivative on a
+  2-CPU x86 host.
 * ``x >= max(30, 10*mu)``: Hankel's large-argument expansion, summed in
   double precision.  At x = 10*mu the smallest term is below ~1e-12 for
   every mu <= 60.
@@ -170,11 +173,8 @@ def _check_finite(tag: str, *vals: complex) -> None:
 
 def _dyadic(v: float) -> tuple[int, int]:
     """(n, a) with v = n / 2**a exactly, a >= 0, and n odd when a > 0."""
-    m, e = math.frexp(v)
-    n, e = int(math.ldexp(m, 53)), e - 53
-    zeros = (n & -n).bit_length() - 1
-    n, e = n >> zeros, e + zeros
-    return (n << e, 0) if e >= 0 else (n, -e)
+    n, d = v.as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
 def _series_imag_exact(mu: float, x: float) -> tuple[complex, complex]:
@@ -215,26 +215,29 @@ def _series_imag_exact(mu: float, x: float) -> tuple[complex, complex]:
     x2 = big_x * big_x
     if shift < 0:
         x2, shift = x2 << -shift, 0
-    a2, m2, im_num = 1 << 2 * a, big_m * big_m, big_m * x2
+    m2, im_num = big_m * big_m << shift, big_m * x2
     tr, ti = 1 << p, 0
     sr, si, ur, ui = tr, 0, 0, 0
     stop = 1 << e_x
     # r_{k+1} <= 1/2 from k_drop on: (k+1)^2 >= (sqrt(mu^4 + x^4) - mu^2) / 2
     k_drop = max(0, math.ceil(math.sqrt(0.5 * (math.hypot(mu * mu, x * x) - mu * mu))) - 1)
+    # (v >> shift) // den == v // (den << shift); re_num = -k X^2 2^a and the
+    # divisor (k^3 2^(2a) + k M^2) 2^shift advance by exact differences
+    re_num, re_step, c = 0, x2 << a, 1 << 2 * a + shift
+    den, d1, d2, d3 = 0, c + m2, 6 * c, 6 * c
     k = 0
-    while abs(tr) > stop or abs(ti) > stop:
+    while not (-stop <= tr <= stop and -stop <= ti <= stop):
         if k == k_drop:
             tr, ti, sr, si, ur, ui = (v >> e_x for v in (tr, ti, sr, si, ur, ui))
             p, stop = p - e_x, 1
         k += 1
-        re_num = -(k * x2 << a)
-        den = k * (k * k * a2 + m2)
+        re_num -= re_step
+        den += d1
+        d1 += d2
+        d2 += d3
         ur += sr
         ui += si
-        tr, ti = (
-            ((tr * re_num - ti * im_num) >> shift) // den,
-            ((tr * im_num + ti * re_num) >> shift) // den,
-        )
+        tr, ti = (tr * re_num - ti * im_num) // den, (tr * im_num + ti * re_num) // den
         sr += tr
         si += ti
     # sum (2k + i mu) t_k = 2 sum k t_k + i mu S, in units of 2^-(p + a)
@@ -276,29 +279,29 @@ def _hankel_asym_imag(mu: float, x: float) -> tuple[complex, complex]:
     smallest term; at x >= max(30, 10 mu) that term is below ~2e-12
     everywhere in the supported box.
     """
-    nu2x4 = -4.0 * mu * mu
+    nu2x4, x8 = -4.0 * mu * mu, 8.0 * x  # k * x8 == 8.0 * k * x: both products are exact
     # Near the region edge the term magnitudes first hump upward (peak <~ 3
-    # at x = 10 mu) before the asymptotic descent, so truncate at the global
-    # minimum term; the omitted tail is of that size.
-    terms = [1.0]
-    t = 1.0
+    # at x = 10 mu) before the asymptotic descent, so truncate at the first
+    # global minimum term; the omitted tail is of that size.  The term
+    # i^k a_k / x^k is u for even k and i u for odd k: i^k is exact, so each
+    # term enters one component of S, and (k/x) times it one of S', unrounded.
+    sr, si, dr, di = 1.0, 0.0, 0.0, 0.0
+    t_min, kept = 1.0, (sr, si, dr, di)
+    u = 1.0
     for k in range(1, 2 * int(x) + 120):
-        t *= (nu2x4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        terms.append(t)
-        if abs(t) < 1e-17 or abs(t) > 1e4:
+        u *= (nu2x4 - (2 * k - 1) ** 2) / (k * x8)
+        if k & 1:
+            si, di = si + u, di - u * (k / x)
+        else:
+            u = -u
+            sr, dr = sr + u, dr - u * (k / x)
+        if (t := abs(u)) < t_min:  # the first minimum, as S is summed up to it
+            t_min, kept = t, (sr, si, dr, di)
+        if t < 1e-17 or t > 1e4:
             break
-    k_min = min(range(len(terms)), key=lambda i: abs(terms[i]))
-    if abs(terms[k_min]) > 1e-11:
-        raise RangeError(
-            f"asymptotic expansion bottoms out at {abs(terms[k_min]):.2e} "
-            f"for mu={mu}, x={x}"
-        )
-    # i^k is exact, so each term enters one component of S unrounded
-    s, sd, ik = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j
-    for k in range(1, k_min + 1):
-        ik *= 1j
-        s += ik * terms[k]
-        sd -= ik * terms[k] * (k / x)
+    if t_min > 1e-11:
+        raise RangeError(f"asymptotic expansion bottoms out at {t_min:.2e} for mu={mu}, x={x}")
+    s, sd = complex(kept[0], kept[1]), complex(kept[2], kept[3])
     # e^{i omega} = e^{i(x - pi/4)} e^{mu pi / 2}
     amp = math.sqrt(2.0 / (math.pi * x)) * cmath.exp(1j * (x - 0.25 * math.pi))
     amp *= math.exp(0.5 * mu * math.pi)
@@ -334,12 +337,21 @@ def _reflect(order: Order, h: complex) -> complex:
 # =====================================================================
 
 
+def _with_derivative(ufunc, mu: float, x: float) -> tuple:
+    """(f_mu(x), f'_mu(x)) from one ufunc call, f' = (f_{mu-1} - f_{mu+1}) / 2 (DLMF 10.6.1).
+
+    This is scipy's jvp/yvp/h1vp arithmetic op for op, so signed zeros, infinities and
+    warnings come out the same: orders mu - 1 and (mu - 1) + 2, and a complex -1.0 * f.
+    """
+    v = ufunc((mu - 1.0, mu, mu - 1.0 + 2.0), x)
+    return v[1], (v[0] + -1.0 * v[2]) / 2.0
+
+
 def bessel_j_pair(order: Order, x: float) -> tuple[complex, complex]:
     """(J_nu(x), dJ_nu/dx) for the given order."""
     x = _check_x(x)
     if order.kind == "real":
-        v = complex(_sp.jv(order.mu, x))
-        d = complex(_sp.jvp(order.mu, x))
+        v, d = map(complex, _with_derivative(_sp.jv, order.mu, x))
     elif x < _asym_edge(order.mu):
         v, d = _j_imag_series(order.mu, x)
     else:  # J = (H1 + H2) / 2
@@ -364,8 +376,7 @@ def hankel_pair(kind: int, order: Order, x: float) -> tuple[complex, complex]:
         raise RangeError(f"hankel kind must be 1 or 2, got {kind!r}")
     x = _check_x(x)
     if order.kind == "real":
-        v = complex(_sp.hankel1(order.mu, x))
-        d = complex(_sp.h1vp(order.mu, x))
+        v, d = map(complex, _with_derivative(_sp.hankel1, order.mu, x))
     else:
         v, d = _h1_imag(order.mu, x)
     _check_finite("hankel", v, d)
@@ -419,10 +430,8 @@ def wronskian_check(order: Order, x: float) -> float:
     """
     x = _check_x(x)
     if order.kind == "real":
-        bj = float(_sp.jv(order.mu, x))
-        bjd = float(_sp.jvp(order.mu, x))
-        by = float(_sp.yv(order.mu, x))
-        byd = float(_sp.yvp(order.mu, x))
+        bj, bjd = map(float, _with_derivative(_sp.jv, order.mu, x))
+        by, byd = map(float, _with_derivative(_sp.yv, order.mu, x))
         _check_finite("wronskian_check", complex(bj, by), complex(bjd, byd))
         w = 2j * (bj * byd - bjd * by)
     else:

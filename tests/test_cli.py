@@ -944,11 +944,15 @@ def test_certify_strict_shrinks_residuals():
     assert len(refine) == 1 and refine[0].startswith("[PASS]")
 
 
-def test_certify_fault_injection(monkeypatch):
+@pytest.mark.parametrize(
+    "fault", [lambda w: w + 1e-6, lambda w: math.nan], ids=["offset", "nan"]
+)
+def test_certify_fault_injection(monkeypatch, fault):
     # a corrupted special-function build: every Wronskian deviation grows
-    # by 1e-6, so the gate must go red
+    # by 1e-6, or comes out NaN, which builtin max(0.0, nan) = 0.0 would
+    # hide; either way the gate must go red
     check = cli.specfun.wronskian_check
-    monkeypatch.setattr(cli.specfun, "wronskian_check", lambda order, x: check(order, x) + 1e-6)
+    monkeypatch.setattr(cli.specfun, "wronskian_check", lambda order, x: fault(check(order, x)))
     buf = io.StringIO()
     assert cli.certify(stream=buf) == 3
     wrons = [ln for ln in buf.getvalue().splitlines() if "wronskian-sweep" in ln]
