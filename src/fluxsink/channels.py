@@ -323,9 +323,12 @@ def _subcritical_ratio_from_l(cfg: ScatteringConfig, mode: PartialMode, l: float
     branch, reproducing the Regular-regime phase.
     """
     mu = mode.mu
-    t = l * (0.5 * cfg.p) ** (2.0 * mu)
-    if t:  # a signed zero stays itself: Gamma(1 - mu) / Gamma(1 + mu) > 0 for 0 < mu < 1
-        t *= (complex_gamma(1.0 - mu) / complex_gamma(1.0 + mu)).real
+    try:  # a signed-zero l stays itself: Gamma(1 - mu) / Gamma(1 + mu) > 0 for 0 < mu < 1
+        t = l and l * (0.5 * cfg.p) ** (2.0 * mu) * (complex_gamma(1.0 - mu) / complex_gamma(1.0 + mu)).real
+    except OverflowError:  # the power, at huge p
+        t = math.inf
+    if not abs(t) < 1e300:  # r is its t -> +-inf limit to rounding, and past ~1e308 num / den fails
+        return cmath.exp(2j * math.pi * mu)
     ph = cmath.exp(1j * math.pi * mu)
     num = 1.0 + t * ph
     den = 1.0 + t / ph

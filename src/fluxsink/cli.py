@@ -28,13 +28,14 @@ certify [--strict]
     --strict reruns the oracle at tolerance/100 and additionally requires
     the residuals to shrink.
 
-Every file goes through one writer.  csv prints floats with 17
-significant digits, under a header line except in the key,value
-summary; json holds ``{name: [row objects]}`` (the summary: one object)
-whose numbers are the same doubles, since 17 digits round-trip one.  A
-given input produces byte-identical files.  Exit codes: 0 success, 1
-usage or configuration error, 2 solver or any other unexpected error
-(one line on stderr, no traceback), 3 certification failure.
+Every file goes through one writer, which overwrites an existing table
+in place and cuts it at the new end.  csv prints floats with 17
+significant digits, under a header line except in the key,value summary;
+json holds ``{name: [row objects]}`` (the summary: one object) whose
+numbers are the same doubles, since 17 digits round-trip one.  A given
+input produces byte-identical files.  Exit codes: 0 success, 1 usage or
+configuration error, 2 solver or any other unexpected error (one line on
+stderr, no traceback), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -104,20 +105,25 @@ def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
     flat JSON object.
     """
     path = os.path.join(out_dir, f"{name}.{fmt}")
-    with open(path, "w", newline="") as fh:
-        if fmt == "csv":
-            # \n terminator and minimal quoting keep the bytes platform-independent
-            out = csv.writer(fh, lineterminator="\n")
-            if header is not None:
-                out.writerow(header)
-            if rows and all(isinstance(v, float) for row in rows for v in row):
-                line = ",".join(["%.17g"] * len(rows[0])) + "\n"  # _g17 per cell, never quoted
-                fh.write("".join([line % tuple(row) for row in rows]))
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        try:
+            if fmt == "csv":
+                # \n terminator and minimal quoting keep the bytes platform-independent
+                out = csv.writer(fh, lineterminator="\n")
+                if header is not None:
+                    out.writerow(header)
+                cells = tuple(itertools.chain.from_iterable(rows))
+                if rows and {*map(len, rows)} == {len(rows[0])} and all(map(isinstance, cells, itertools.repeat(float))):
+                    line = ",".join(["%.17g"] * len(rows[0])) + "\n"  # _g17 per cell, never quoted
+                    fh.write(line * len(rows) % cells)  # one format pass; ragged rows take csv.writer
+                else:
+                    out.writerows([_g17(v) if isinstance(v, float) else v for v in row] for row in rows)
             else:
-                out.writerows([_g17(v) if isinstance(v, float) else v for v in row] for row in rows)
-        else:
-            obj = dict(rows) if header is None else {name: [dict(zip(header, row)) for row in rows]}
-            fh.write(json.dumps(obj, indent=2) + "\n")
+                obj = dict(rows) if header is None else {name: [dict(zip(header, row)) for row in rows]}
+                fh.write(json.dumps(obj, indent=2) + "\n")
+        finally:  # no O_TRUNC, which costs more than this cut; a shorter table leaves no stale tail
+            if os.path.isfile(path):  # a device such as /dev/null cannot be cut
+                fh.truncate()
     return path
 
 

@@ -347,7 +347,10 @@ def _floquet(nu0: float, q: float) -> tuple[complex, np.ndarray]:
     found = []
     for kk, t in ((k, t), (k, -t)) if not t.imag else ((k, t),):  # k +- t share cos; in a gap, conjugates
         for _ in range(4):  # move by 2j to a representative whose c_0 is within 10 of its peak
-            c, res = _coefficients(kk, t, nu0, q, n)
+            try:
+                c, res = _coefficients(kk, t, nu0, q, n)
+            except ZeroDivisionError:  # an exactly zero pivot: q underflows against the diagonal
+                raise FitDegenerateError(f"Floquet recursion hits a zero pivot (nu={nu0}, q={q})") from None
             if np.abs(c).max() <= 10.0:
                 break
             kk += 2 * (int(np.argmax(np.abs(c))) - n)

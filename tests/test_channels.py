@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -219,6 +220,36 @@ def test_subcritical_ratio_skips_gamma_only_where_no_bit_moves(monkeypatch):
             assert calls == [1.0 - mu, 1.0 + mu]
             assert bits(got) == bits(_subcritical_ratio_reference(cfg, mu, 0.7))
             calls.clear()
+
+
+def test_subcritical_ratio_takes_the_limit_where_the_power_overflows():
+    # (p/2)^(2 mu) overflows at huge p; r -> e^{2 i pi mu} as t -> +-inf
+    mu = 0.9
+    mode = PartialMode(m=2, nu_squared=mu * mu, mu=mu, regime=Regime.SUBCRITICAL)
+    limit = cmath.exp(2j * math.pi * mu)
+    for l in (0.7, -0.7):
+        for p in (1e200, 1e300):
+            r = channels._subcritical_ratio_from_l(ScatteringConfig(beta=0.3, gamma=1.5, p=p), mode, l)
+            assert abs(r - limit) <= 1e-15 and abs(abs(r) - 1.0) <= 1e-15, (l, p)
+
+        def finite(p):
+            try:
+                return cmath.isfinite(_subcritical_ratio_reference(ScatteringConfig(beta=0.3, gamma=1.5, p=p), mu, l))
+            except (OverflowError, ZeroDivisionError):  # the power, or num / den near t = 1e308
+                return False
+
+        # bisect the bit patterns of p for the largest p the unguarded formula survives
+        lo, hi = (struct.unpack("<q", struct.pack("<d", p))[0] for p in (1.0, 1e300))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if finite(struct.unpack("<d", struct.pack("<q", mid))[0]) else (lo, mid)
+        for bits, p_edge in ((lo, True), (hi, False)):
+            p = struct.unpack("<d", struct.pack("<q", bits))[0]
+            assert finite(p) is p_edge
+            cfg = ScatteringConfig(beta=0.3, gamma=1.5, p=p)
+            got = channels._subcritical_ratio_from_l(cfg, mode, l)
+            want = _subcritical_ratio_reference(cfg, mu, l) if p_edge else limit
+            assert abs(got - want) <= 1e-15 and abs(got - limit) <= 1e-15, (l, p)
 
 
 def test_elastic_supercritical_unitary_and_periodic():

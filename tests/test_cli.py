@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -585,6 +586,80 @@ def test_write_table_keeps_the_csv_writer_bytes(tmp_path, monkeypatch, header, r
     with open(cli._write_table(str(tmp_path), "t", "csv", header, rows), newline="") as fh:
         assert fh.read() == want
     assert ('"custom(modes 1, 2)"' in want) is (header is None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_into_the_same_out_matches_a_fresh_run(tmp_path, fmt):
+    # tables are overwritten in place: a shorter second run must cut every stale tail
+    long_text = _scenario_text(gamma=2.5, model="kind = elastic\nl = 0.7\ntheta = 1.2", phi_samples=721, fmt=fmt)
+    short_text = _scenario_text(gamma=0.5, phi_samples=7, fmt=fmt)
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert cli.main(["run", _write(tmp_path, "long.ini", long_text), "--out", str(shared)]) == 0
+    long_sizes = {p.name: p.stat().st_size for p in shared.iterdir()}
+    short_cfg = _write(tmp_path, "short.ini", short_text)
+    assert cli.main(["run", short_cfg, "--out", str(shared)]) == 0
+    assert cli.main(["run", short_cfg, "--out", str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(long_sizes) == sorted([f"modes.{fmt}", f"summary.{fmt}", "differential.csv"])
+    for name in names:
+        want = (fresh / name).read_bytes()
+        assert len(want) < long_sizes[name], name  # each table really shrank
+        assert (shared / name).read_bytes() == want, name
+
+
+def test_new_table_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        path = cli._write_table(str(tmp_path), "t", "csv", ("a",), [(0.5,)])
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~0o027
+    path = cli._write_table(str(tmp_path), "u", "csv", ("a",), [(0.5,)])
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~old
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_a_table_linked_to_a_device_is_written_through(tmp_path):
+    # a device cannot be truncated: the writer cuts regular files only
+    os.symlink("/dev/null", tmp_path / "t.csv")
+    cli._write_table(str(tmp_path), "t", "csv", ("a",), [(0.5,)])
+    assert os.path.islink(tmp_path / "t.csv")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell refuses to print")
+
+
+def test_a_table_cut_by_an_error_keeps_only_its_written_prefix(tmp_path):
+    stale = "x" * 10_000 + "\n"
+    for name in ("t.csv", "t.json"):
+        (tmp_path / name).write_text(stale)
+    rows = [(1, "Subcritical", 0.5)] * 300 + [(2, _Unprintable(), 0.25)] + [(3, "Subcritical", 0.125)] * 5
+    with pytest.raises(RuntimeError, match="refuses"):
+        cli._write_table(str(tmp_path), "t", "csv", ("m", "regime", "mu"), rows)
+    assert (tmp_path / "t.csv").read_text() == _csv_reference(("m", "regime", "mu"), rows[:300])
+    with pytest.raises(TypeError):  # json.dumps fails before any byte is written
+        cli._write_table(str(tmp_path), "t", "json", ("m", "regime", "mu"), rows)
+    assert (tmp_path / "t.json").read_bytes() == b""
+
+
+def test_ragged_float_rows_are_not_reflowed(tmp_path):
+    # 2 + 1 + 3 cells fill three rows of width 2: the one-pass format would shift them
+    rows = [(0.5, 1.5), (2.5,), (3.5, 4.5, 5.5)]
+    with open(cli._write_table(str(tmp_path), "t", "csv", ("a", "b"), rows), newline="") as fh:
+        assert fh.read() == _csv_reference(("a", "b"), rows) == "a,b\n0.5,1.5\n2.5\n3.5,4.5,5.5\n"
+
+
+@pytest.mark.parametrize("p", ["1e150", "1e200", "1e300"])
+@pytest.mark.parametrize("model", ["kind = sink", "kind = elastic\nl = 0", "kind = elastic\nl = 0.7",
+                                   "kind = total_absorption\nn_minus = 1\nn_plus = 2"])
+def test_huge_wavenumber_runs(tmp_path, p, model):
+    # (p/2)^(2 mu) overflows a double at p = 1e200 for mu > 0.77
+    text = _scenario_text(gamma=1.5, p=p, model=model, phi_samples=7, path=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, "p.ini", text)]) == 0
 
 
 def test_wide_quartic_ranges_end_cleanly(tmp_path, capsys):

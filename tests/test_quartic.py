@@ -290,6 +290,12 @@ def test_schedule_model_for():
     assert abs(abs(sols[2].s_matrix) - 1.0) <= 1e-6
 
 
+def test_tiny_q_zero_pivot_is_fit_degenerate():
+    # at q = 1e-200 the Floquet backward recursion meets an exactly zero pivot
+    with pytest.raises(FitDegenerateError, match=r"nu=0\.7, q=1e-200"):
+        connection_matrices(QuarticConfig(beta=0.3, lam=1e-200, p=1.0), [1])
+
+
 def test_connection_matrix_rejects_singular():
     with pytest.raises(FitDegenerateError):
         ConnectionMatrix(entries=np.zeros((2, 2), dtype=complex), nu=0.5, q=1.0)
