@@ -31,8 +31,8 @@ absorption model is a choice of exact solution near the singular core,
 and the same classes serve the inverse-quartic core (quartic module).
 Each config class (ScatteringConfig here, QuarticConfig there) is the
 only place that knows its potential: scenario files, the CLI and the
-amplitude assembly go through its KIND, COUPLING, required_modes, solve
-and amplitudes.
+amplitude assembly go through its KIND, COUPLING, required_modes, solve,
+amplitudes and differential.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ PHI_MIN = 1e-3
 REGIME_EPS = 1e-9
 
 MODES_MAX = 10**5  # most modes a run solves: an explicit range or a total-absorption window
+PAIR_BUDGET = 2**18  # most float64 values (2 MiB) _amplitude_grid holds for the +m partners of modes -m
 
 # largest core strength: supercritical orders mu <= gamma need e^(-pi mu)
 # to stay a normal double, i.e. gamma <= -ln(float_min)/pi ~ 225.49
@@ -96,8 +97,21 @@ class Regime:
     SUPERCRITICAL = "Supercritical"
 
 
+class _Amplitudes:
+    """amplitudes and differential of a potential from its float64 (Re f, Im f) pass, _grid."""
+
+    def amplitudes(self, solutions: list, phis) -> list[complex]:
+        re, im = self._grid(solutions, phis)
+        return list(map(complex, re.tolist(), im.tolist()))
+
+    def differential(self, solutions: list, phis) -> np.ndarray:
+        """d sigma/d phi = |f(phi)|^2 as float64, bit for bit abs(f) ** 2 over amplitudes; inf past a double."""
+        with np.errstate(over="ignore"):
+            return np.float_power(np.hypot(*self._grid(solutions, phis)), 2.0)
+
+
 @dataclass(frozen=True)
-class ScatteringConfig:
+class ScatteringConfig(_Amplitudes):
     """Potential and kinematics: flux beta, core strength gamma, wavenumber p.
 
     gamma^2 = 2 M kappa^2 for core potential -kappa^2 / rho^2.  mass enters
@@ -141,8 +155,14 @@ class ScatteringConfig:
         """ChannelSolutions of modes ms, in order, under the boundary model."""
         return [solve_channel(self, classify_mode(self, m), model) for m in ms]
 
-    def amplitudes(self, solutions: list, phis) -> list[complex]:
-        return amplitudes(self, solutions, phis)
+    def _grid(self, solutions: list, phis) -> tuple:
+        """(Re f, Im f) after the checks of amplitudes(); the mode phases see phi reduced to (-pi, pi]."""
+        ws = _outside_cone(phis)
+        present = {s.mode.m for s in solutions}
+        missing = [m for m in nonregular_modes(self) if m not in present]
+        if missing:
+            raise IncompleteRangeError(f"amplitude needs every non-Regular mode; missing {missing}")
+        return _amplitude_grid(self, solutions, ws)
 
 
 @dataclass(frozen=True)
@@ -566,13 +586,15 @@ def _outside_cone(phis) -> np.ndarray:
     return w
 
 
-def _amplitude_grid(cfg, solutions: list, phis) -> list[complex]:
-    """C sum_m (S_m - S_m^AB) e^{i m phi} + f_AB(phi) at each phi as given; f_AB alone without modes.
+def _amplitude_grid(cfg, solutions: list, phis) -> tuple[np.ndarray, np.ndarray]:
+    """(Re f, Im f) of C sum_m (S_m - S_m^AB) e^{i m phi} + f_AB(phi) at each phi as given; f_AB alone without modes.
 
     Float64 arrays over phi do CPython's complex arithmetic one IEEE operation
     at a time, adding the terms in ascending m, so every value has the bits
     of a per-angle cmath loop: cmath.exp(i y) is (cos y, sin y), numpy's
     float64 cos and sin are the C library's (complex128 arrays round otherwise).
+    float(-m) phi is -(float(m) phi) and that cos is even and sin odd bit for
+    bit, so mode -m hands its cos and sin to +m, up to PAIR_BUDGET held values.
     """
     phi = np.asarray(phis, dtype=float)
     w = _outside_cone(phi)  # f_AB reduces phi on its own
@@ -584,16 +606,25 @@ def _amplitude_grid(cfg, solutions: list, phis) -> list[complex]:
     re, im = (ar + ai * z) / sn, (ai - ar * z) / sn
     if solutions:
         acc_r = acc_i = 0.0
-        for sol in sorted(solutions, key=lambda s: s.mode.m):
+        sols = sorted(solutions, key=lambda s: s.mode.m)
+        held, room = {}, PAIR_BUDGET // (2 * phi.size + 64)  # |m| -> (cos, sin) of |m| phi, headers counted
+        for sol in sols:
             m = sol.mode.m
             d = sol.s_matrix - cmath.exp((1j if m >= 1 else -1j) * math.pi * cfg.beta)  # S_m - S_m^AB
-            y = float(m) * phi
-            co, si = np.cos(y), np.sin(y)
+            if m in held:
+                co, si = held.pop(m)
+            else:
+                y = float(abs(m)) * phi
+                co, si = np.cos(y), np.sin(y)
+            if m < 0:
+                if -m <= sols[-1].mode.m and len(held) < room:  # a +m may follow
+                    held[-m] = co, si
+                si = -si
             acc_r = acc_r + (d.real * co - d.imag * si)
             acc_i = acc_i + (d.real * si + d.imag * co)
         re = (c.real * acc_r - c.imag * acc_i) + re
         im = (c.real * acc_i + c.imag * acc_r) + im
-    return list(map(complex, re.tolist(), im.tolist()))
+    return re, im
 
 
 def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
@@ -603,7 +634,8 @@ def ab_amplitude_closed(cfg: ScatteringConfig, phi: float) -> complex:
     the Abel-summed full mode series; |f_AB| = sin(pi beta)/(sqrt(2 pi p)
     |sin(phi/2)|).
     """
-    return _amplitude_grid(cfg, [], [phi])[0]
+    re, im = _amplitude_grid(cfg, [], [phi])
+    return complex(re[0], im[0])
 
 
 def amplitudes(cfg: ScatteringConfig, solutions: list[ChannelSolution], phis) -> list[complex]:
@@ -616,12 +648,7 @@ def amplitudes(cfg: ScatteringConfig, solutions: list[ChannelSolution], phis) ->
     present among the solutions (IncompleteRangeError); before that, every
     phi must be finite (ConfigError) and outside |phi| < 1e-3 (ForwardDirectionError).
     """
-    ws = _outside_cone(phis)
-    present = {s.mode.m for s in solutions}
-    missing = [m for m in nonregular_modes(cfg) if m not in present]
-    if missing:
-        raise IncompleteRangeError(f"amplitude needs every non-Regular mode; missing {missing}")
-    return _amplitude_grid(cfg, solutions, ws)
+    return cfg.amplitudes(solutions, phis)
 
 
 def amplitude(cfg: ScatteringConfig, solutions: list[ChannelSolution], phi: float) -> complex:

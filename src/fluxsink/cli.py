@@ -29,13 +29,15 @@ certify [--strict]
     the residuals to shrink.
 
 Every file goes through one writer, which overwrites an existing table
-in place and cuts it at the new end.  csv prints floats with 17
-significant digits, under a header line except in the key,value summary;
-json holds ``{name: [row objects]}`` (the summary: one object) whose
-numbers are the same doubles, since 17 digits round-trip one.  A given
-input produces byte-identical files.  Exit codes: 0 success, 1 usage or
+in place and cuts it at the new end; the differential reaches it as one
+2-D float64 array.  csv prints floats with 17 significant digits, under
+a header line except in the key,value summary; json holds
+``{name: [row objects]}`` (the summary: one object) whose numbers are
+the same doubles, since 17 digits round-trip one.  A given input
+produces byte-identical files.  Exit codes: 0 success, 1 usage or
 configuration error, 2 solver or any other unexpected error (one line on
-stderr, no traceback), 3 certification failure.
+stderr, no traceback; a cross section past a double names p, and no
+table is written unless all are finite), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import sys
 import numpy as np
 
 from . import channels, oracle, quartic, scenario, specfun
-from .errors import ConfigError, FluxsinkError
+from .errors import ConfigError, FluxsinkError, RangeError
 
 __all__ = ["main", "run_scenario", "certify", "run_sweep"]
 
@@ -112,9 +114,10 @@ def _write_table(out_dir: str, name: str, fmt: str, header, rows) -> str:
                 out = csv.writer(fh, lineterminator="\n")
                 if header is not None:
                     out.writerow(header)
-                cells = tuple(itertools.chain.from_iterable(rows))
-                if rows and {*map(len, rows)} == {len(rows[0])} and all(map(isinstance, cells, itertools.repeat(float))):
-                    line = ",".join(["%.17g"] * len(rows[0])) + "\n"  # _g17 per cell, never quoted
+                array = isinstance(rows, np.ndarray)  # a 2-D float64 table needs no per-cell scan
+                cells = tuple(rows.ravel().tolist() if array else itertools.chain.from_iterable(rows))
+                if array or rows and {*map(len, rows)} == {len(rows[0])} and all(map(isinstance, cells, itertools.repeat(float))):
+                    line = ",".join(["%.17g"] * (rows.shape[1] if array else len(rows[0]))) + "\n"  # _g17 per cell, never quoted
                     fh.write(line * len(rows) % cells)  # one format pass; ragged rows take csv.writer
                 else:
                     out.writerows([_g17(v) if isinstance(v, float) else v for v in row] for row in rows)
@@ -143,12 +146,12 @@ def run_scenario(scn: scenario.Scenario, out_dir: str, fmt: str) -> list:
     pot = scn.potential
     lo, hi = scenario.resolve_m_range(scn)
     sols = pot.solve(range(lo, hi + 1), scn.model)
-    os.makedirs(out_dir, exist_ok=True)
     modes = [
         (s.mode.m, s.mode.regime, s.mode.nu_squared, s.mode.mu,
          s.s_matrix.real, s.s_matrix.imag, abs(s.s_matrix), s.sigma_abs)
         for s in sols
     ]
+    total = _total_sigma(sols)
     summary = [
         ("potential", pot.KIND),
         ("beta", pot.beta),
@@ -159,19 +162,20 @@ def run_scenario(scn: scenario.Scenario, out_dir: str, fmt: str) -> list:
         ("m_lo", lo),
         ("m_hi", hi),
         ("phi_samples", scn.phi_samples),
-        ("sigma_total_abs", _total_sigma(sols)),
+        ("sigma_total_abs", total),
     ]
-    written = [
-        _write_table(out_dir, "modes", fmt, MODE_COLUMNS, modes),
-        _write_table(out_dir, "summary", fmt, None, summary),
-    ]
+    tables = [("modes", fmt, MODE_COLUMNS, modes), ("summary", fmt, None, summary)]
+    finite = math.isfinite(total)  # each sigma_abs is >= 0, so a finite total has finite terms
     if scn.phi_samples > 0:
         edge = 2.0 * channels.PHI_MIN
-        # Python floats: numpy scalar arithmetic may differ in the last bit
-        grid = np.linspace(edge, 2.0 * math.pi - edge, scn.phi_samples).tolist()
-        rows = [(phi, abs(f) ** 2) for phi, f in zip(grid, pot.amplitudes(sols, grid))]
-        written.append(_write_table(out_dir, "differential", "csv", ("phi", "dsigma_dphi"), rows))
-    return written
+        grid = np.linspace(edge, 2.0 * math.pi - edge, scn.phi_samples)
+        rows = np.column_stack((grid, pot.differential(sols, grid)))
+        tables.append(("differential", "csv", ("phi", "dsigma_dphi"), rows))
+        finite = finite and np.isfinite(rows).all()
+    if not finite:  # before any table is written
+        raise RangeError(f"p={pot.p} is too small: a cross section overflows a double")
+    os.makedirs(out_dir, exist_ok=True)
+    return [_write_table(out_dir, *table) for table in tables]
 
 
 def _cmd_run(args) -> int:

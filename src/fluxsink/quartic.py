@@ -66,6 +66,7 @@ from .channels import (
     Sink,
     TotalAbsorption,
     _amplitude_grid,
+    _Amplitudes,
 )
 from .errors import ConfigError, FitDegenerateError
 from .oracle import POINTS_PER_WAVELENGTH, _check_tol, _dop853, _lstsq_two_column
@@ -94,7 +95,7 @@ _cache: dict = {}  # (nu, q, tol) -> ConnectionMatrix, oldest first; tol None: F
 
 
 @dataclass(frozen=True)
-class QuarticConfig:
+class QuarticConfig(_Amplitudes):
     """Flux beta, core coupling lam (length^2 scale), wavenumber p, mass."""
 
     KIND = "inverse_quartic"  # [potential] kind in scenario files
@@ -138,14 +139,10 @@ class QuarticConfig:
     def solve(self, ms, model) -> list:
         return quartic_smatrices(self, ms, model)
 
-    def amplitudes(self, solutions: list, phis) -> list[complex]:
-        """f(phi) at each phi from explicitly solved modes plus the pure-flux background.
-
-        The inverse-square assembly with phi unreduced in the mode phases and
-        no required modes: S_m -> S_m^{AB} as capture shuts off at large
-        |m - beta|, so the caller's mode range sets the truncation error.
-        """
-        return _amplitude_grid(self, solutions, phis)
+    # f(phi) from explicitly solved modes plus the pure-flux background: the inverse-square
+    # assembly with phi unreduced in the mode phases and no required modes; S_m -> S_m^{AB} as
+    # capture shuts off at large |m - beta|, so the caller's mode range sets the truncation error
+    _grid = _amplitude_grid
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,83 @@ def test_ab_amplitude_closed_matches_the_closed_formula_bitwise(beta):
         assert _outcome(ab_amplitude_closed, cfg, phi) == _outcome(_reference_ab, cfg, phi)
 
 
+def _squares(cfg, solutions, phis):
+    # what a run wrote before the float pair: Python's abs and ** 2 per complex value
+    return [abs(f) ** 2 for f in cfg.amplitudes(solutions, phis)]
+
+
+def _float_outcome(fn, *args):
+    try:
+        return [float(x).hex() for x in fn(*args)]
+    except ForwardDirectionError as exc:
+        return "ForwardDirectionError", str(exc)
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_differential_is_abs_squared_of_the_amplitudes_bitwise(case):
+    # np.hypot then np.float_power(x, 2.0) repeat abs(complex) and float ** 2 bit for bit,
+    # including the ranges where -m has no +m partner (-200..1, 0..200) and both phase conventions
+    cfg, model, ms = REFERENCE_CASES[case]
+    sols = cfg.solve(ms, model)
+    rng = np.random.default_rng(29)
+    draws = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 300).tolist()
+    if isinstance(cfg, quartic.QuarticConfig):
+        draws = rng.uniform(PHI_MIN, 5.0 * math.pi, 300).tolist()
+    draws = [phi for phi in draws if abs(math.remainder(phi, 2.0 * math.pi)) > 2.0 * PHI_MIN]
+    grid = _phi_grid().tolist() + draws
+    assert _float_outcome(cfg.differential, sols, grid) == _float_outcome(_squares, cfg, sols, grid)
+    edges = _cone_edges([PHI_MIN, -PHI_MIN, math.pi, -math.pi, 2.0 * math.pi - PHI_MIN, 2.0 * math.pi + PHI_MIN])
+    outcomes = [_float_outcome(cfg.differential, sols, [phi]) for phi in edges]
+    assert outcomes == [_float_outcome(_squares, cfg, sols, [phi]) for phi in edges]
+    assert any(isinstance(o, list) for o in outcomes) and any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_differential_checks_the_cone_before_the_modes():
+    cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
+    sols = cfg.solve([0], Sink())  # m = 1 missing
+    with pytest.raises(ForwardDirectionError):
+        cfg.differential(sols, [math.pi, 0.0])
+    with pytest.raises(IncompleteRangeError):
+        cfg.differential(sols, [math.pi, 1.0])
+
+
+def test_float64_cos_is_even_and_sin_odd_bitwise():
+    # a precondition of the host, not of the package: _amplitude_grid hands the cos and sin
+    # of mode -m to +m, which keeps the golden bytes only where these hold bit for bit
+    grid = _phi_grid()
+    for m in range(1, 301):
+        assert (float(-m) * grid == -(float(m) * grid)).all()
+    y = np.concatenate([np.outer(np.arange(1.0, 301.0), grid).ravel(),
+                        np.random.default_rng(29).uniform(-1e4, 1e4, 200_000)])
+    cos_bad = np.count_nonzero(np.cos(-y).view(np.int64) != np.cos(y).view(np.int64))
+    sin_bad = np.count_nonzero(np.sin(-y).view(np.int64) != (-np.sin(y)).view(np.int64))
+    assert cos_bad == sin_bad == 0, (
+        f"precondition failed on this host: numpy's float64 cos is not even ({cos_bad} of {y.size})"
+        f" or sin not odd ({sin_bad}) bit for bit, so the +-m sharing moves the amplitude's bits"
+    )
+
+
+def test_amplitude_pass_holds_at_most_the_pair_budget(monkeypatch):
+    # without a budget, 5000 held (cos, sin) pairs at 721 angles peaked at ~58 MB
+    cfg = ScatteringConfig(beta=0.3, gamma=1.5, p=1.0)
+    sols = cfg.solve(range(-5000, 5001), Sink())
+    grid = _phi_grid()
+
+    def traced(budget):
+        monkeypatch.setattr(channels, "PAIR_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            return cfg.differential(sols, grid), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    budget = channels.PAIR_BUDGET
+    shared, peak = traced(budget)
+    alone, base = traced(0)  # nothing held: every mode computes its own cos and sin
+    assert shared.tobytes() == alone.tobytes()
+    assert peak <= base + 8 * budget, (peak, base)
+
+
 def _amplitude_calls():
     cfg = ScatteringConfig(beta=0.3, gamma=0.5, p=1.0)
     sols = cfg.solve(range(-3, 4), Sink())
@@ -624,11 +702,14 @@ def _amplitude_calls():
         "ab_amplitude_closed": lambda phi: ab_amplitude_closed(cfg, phi),
         "quartic_amplitudes": lambda phi: qcfg.amplitudes(qsols, [1.0, phi]),
         "quartic_amplitude": lambda phi: quartic.quartic_amplitude(qcfg, qsols, phi),
+        "differential": lambda phi: cfg.differential(sols, [1.0, phi]),
+        "quartic_differential": lambda phi: qcfg.differential(qsols, [1.0, phi]),
     }
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("call", ["amplitudes", "amplitude", "ab_amplitude_closed", "quartic_amplitudes", "quartic_amplitude"])
+@pytest.mark.parametrize("call", ["amplitudes", "amplitude", "ab_amplitude_closed", "quartic_amplitudes", "quartic_amplitude",
+                                  "differential", "quartic_differential"])
 def test_non_finite_angle_is_a_config_error(call, phi):
     # neither a bare "math domain error" (inf) nor a silent nan+nanj (nan)
     with pytest.raises(ConfigError, match=f"^phi={phi} must be finite$"):

@@ -588,6 +588,53 @@ def test_write_table_keeps_the_csv_writer_bytes(tmp_path, monkeypatch, header, r
     assert ('"custom(modes 1, 2)"' in want) is (header is None)
 
 
+@pytest.mark.parametrize("rows", [FLOAT_ROWS, [(0.25, 1e-300)] * 3, []], ids=["specials", "repeated", "empty"])
+def test_write_table_takes_a_float64_array(tmp_path, monkeypatch, rows):
+    # the differential comes as one (n, 2) array: the bytes of the same rows as tuples
+    array = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    want = _csv_reference(("phi", "dsigma_dphi"), rows)
+    assert want == _csv_reference(("phi", "dsigma_dphi"), [tuple(r) for r in array.tolist()])
+    monkeypatch.setattr(cli, "_g17", None)
+    with open(cli._write_table(str(tmp_path), "t", "csv", ("phi", "dsigma_dphi"), array), newline="") as fh:
+        assert fh.read() == want
+
+
+TINY_P = {  # each overflowed a cross section: exit 2 (OverflowError after two tables) or inf cells
+    "square_721": dict(gamma=1.5, p="1e-306", phi_samples=721),
+    "square_5e-324": dict(gamma=1.5, p="5e-324", phi_samples=0),
+    "quartic_721": dict(kind="inverse_quartic", lam="1e305", p="1e-305", phi_samples=721),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(TINY_P))
+def test_a_cross_section_past_a_double_names_p_and_writes_nothing(tmp_path, capsys, case, fmt):
+    kw = TINY_P[case]
+    out = tmp_path / "out"
+    first = _scenario_text(**{**kw, "lam": 2.0, "p": 1.0, "phi_samples": 721}, fmt=fmt, path=str(out))
+    assert cli.main(["run", _write(tmp_path, "first.ini", first)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 3
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, "tiny.ini", _scenario_text(**kw, fmt=fmt, path=str(out)))]) == 2
+    err = capsys.readouterr().err
+    assert err == f"solver error: p={float(kw['p'])} is too small: a cross section overflows a double\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("kw", [dict(gamma=1.5, p="1e-306"), dict(kind="inverse_quartic", lam="1e305", p="1e-305")],
+                         ids=["square", "quartic"])
+def test_a_tiny_wavenumber_with_finite_cross_sections_runs(tmp_path, kw):
+    text = _scenario_text(**kw, phi_samples=0, path=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, "t.ini", text)]) == 0
+    total = float(_read_summary_csv(tmp_path / "out" / "summary.csv")["sigma_total_abs"])
+    assert 1e300 < total < math.inf
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_rerun_into_the_same_out_matches_a_fresh_run(tmp_path, fmt):
     # tables are overwritten in place: a shorter second run must cut every stale tail
