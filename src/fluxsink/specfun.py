@@ -218,7 +218,7 @@ def _series_imag_exact(mu: float, x: float) -> tuple[complex, complex]:
     m2, im_num = big_m * big_m << shift, big_m * x2
     tr, ti = 1 << p, 0
     sr, si, ur, ui = tr, 0, 0, 0
-    stop = 1 << e_x
+    neg_stop, stop = -(1 << e_x), 1 << e_x
     # r_{k+1} <= 1/2 from k_drop on: (k+1)^2 >= (sqrt(mu^4 + x^4) - mu^2) / 2
     k_drop = max(0, math.ceil(math.sqrt(0.5 * (math.hypot(mu * mu, x * x) - mu * mu))) - 1)
     # (v >> shift) // den == v // (den << shift); re_num = -k X^2 2^a and the
@@ -226,10 +226,10 @@ def _series_imag_exact(mu: float, x: float) -> tuple[complex, complex]:
     re_num, re_step, c = 0, x2 << a, 1 << 2 * a + shift
     den, d1, d2, d3 = 0, c + m2, 6 * c, 6 * c
     k = 0
-    while not (-stop <= tr <= stop and -stop <= ti <= stop):
+    while not (neg_stop <= tr <= stop and neg_stop <= ti <= stop):
         if k == k_drop:
-            tr, ti, sr, si, ur, ui = (v >> e_x for v in (tr, ti, sr, si, ur, ui))
-            p, stop = p - e_x, 1
+            tr, ti, sr, si, ur, ui = tr >> e_x, ti >> e_x, sr >> e_x, si >> e_x, ur >> e_x, ui >> e_x
+            p, stop, neg_stop = p - e_x, 1, -1
         k += 1
         re_num -= re_step
         den += d1

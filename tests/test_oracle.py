@@ -246,8 +246,8 @@ def test_stage_maps_match_loop_form():
     # tableau rows summed in a loop from 0j in ascending j.  Maps and loop round
     # differently, so each value may differ by 1e-14 of the size of the terms
     # that make it: the same loop run on absolute values
-    tab = _tableau()
-    c, a, e5, e3, d = tab[0], *(m[..., 0, 0] for m in tab[1:])
+    c, a, e, d = _tableau()
+    e5, e3 = e
 
     def coef(t):
         return 0.3 - 2.0 * np.sin(t), -0.1j
@@ -287,8 +287,8 @@ def test_stage_maps_match_loop_form():
     ts, hs = np.array([q[0] for q in draws]), np.array([q[1] for q in draws])
     unit = np.outer([1.0, 0.0, 0.0, 1.0], np.ones(len(draws)))  # the unit columns: k holds the stage maps
     k = _stages(coef, ts, hs, unit, 16)
-    u = _combine(tab[1][12, :12], k) * hs
-    maps = [_combine(row, k) for row in tab[2:4]] + [_combine(row, k) * hs for row in tab[4]]
+    u = _combine(a[12, :12], k) * hs
+    maps = [*_combine(e, k), *(_combine(d, k) * hs)]  # the stacked rows, as _dop853 sums them
     for i, (t, h, r, dr) in enumerate(draws):
         stages = [_apply(k[s, :, i], r, dr) for s in range(16)]
         ur, ud = _apply(u[:, i], r, dr)
@@ -297,6 +297,51 @@ def test_stage_maps_match_loop_form():
         want = loop_form(t, h, r, dr, mag=False)
         size = np.abs(loop_form(t, h, abs(r), abs(dr), mag=True))
         assert np.all(np.abs(got - want) <= 1e-14 * size), np.max(np.abs(got - want) / size)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal float64 or complex128 arrays bit for bit where not nan, and nan in the same places."""
+    got, want = np.asarray(got).view(np.float64), np.asarray(want).view(np.float64)
+    nan = np.isnan(want)
+    return got.shape == want.shape and np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+def test_combine_is_the_ordered_reduce_bitwise():
+    # _combine's einsum, on one row and on a stack of rows, against the reduce
+    # (w[:, None, None] * k).sum(0) that sums j in ascending order: ORACLE_FROZEN,
+    # PROFILE_FROZEN and ORACLE_DIGEST rest on the two agreeing.  A nan may come out
+    # with another sign or payload, since an add may take its operands the other way
+    # round; a nan ends the integration in StiffnessError, so only its place is compared
+    rng = np.random.default_rng(30)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1e300, math.inf, -math.inf, math.nan]
+
+    def draw(size):
+        x = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size)
+        special = rng.random(size) < 0.1
+        x[special] = rng.choice(specials, np.count_nonzero(special))
+        return x
+
+    size = 16 * 4 * 300 + 4096  # each case's stages are a contiguous stretch of a pool
+    mismatches = []
+    with np.errstate(all="ignore"):
+        for pool in (draw(size), draw(size) + 1j * draw(size)):
+            for s in range(17):
+                for n in range(1 + s % 5, 301, 5):  # each n in 1..300 meets 3 or 4 of the s in 0..16
+                    at = rng.integers(4096)
+                    k = pool[at : at + 16 * 4 * n].reshape(16, 4, n)
+                    rows = rng.normal(size=(4, s)) * (rng.random((4, s)) < 0.7)  # tableau rows hold zeros
+                    rows[rng.random((4, s)) < 0.1] = -0.0
+                    want = [(row[:, None, None] * k[:s]).sum(0) for row in rows]
+                    if not _same_bits(_combine(rows[0], k), want[0]):
+                        mismatches.append((pool.dtype.name, s, n, "row"))
+                    if not _same_bits(_combine(rows, k), np.array(want)):
+                        mismatches.append((pool.dtype.name, s, n, "stack"))
+    assert not mismatches, (
+        f"numpy {np.__version__}: np.einsum no longer sums the tableau rows in ascending j, bit for bit, "
+        f"in {len(mismatches)} cases, first {mismatches[:4]}; the oracle's frozen bits would move with it"
+    )
 
 
 def test_dop853_non_finite_state_names_the_stage():
@@ -549,6 +594,13 @@ PROFILE_FROZEN = {
 }
 
 
+# sha256 that tests/make_oracle_digest.py prints at its default draws, the
+# same at abc44eb (ordered reduces) and with the einsum contractions: 48
+# oracle_smatrix values over both regimes and the four models at tol 1e-6
+# and 1e-8, one full profile and the quartic inward-solve matrices at q = 2
+ORACLE_DIGEST = "8db83823b5df2e65695af64ec794361f529aa457e3d25c61cbd0ad2809d2adfa"
+
+
 def _frozen_channel(key):
     """(cfg, mode, model) of an ORACLE_FROZEN key: regime-model, p = 0.5 or 2."""
     regime, name = key.split("-")
@@ -584,6 +636,12 @@ def test_oracle_samples_the_full_profile(key, tol):
     assert extract_smatrix(prof, cfg, mode) == oracle_smatrix(cfg, mode, model, tol=tol)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (prof.rho_grid, prof.values, prof.derivative_values)))
     assert (len(prof.rho_grid), digest.hexdigest()[:16]) == PROFILE_FROZEN[key, tol]
+
+
+def test_oracle_bits_frozen():
+    from make_oracle_digest import digest
+
+    assert digest()[0] == ORACLE_DIGEST
 
 
 def test_oracle_matches_closed_forms():
