@@ -20,10 +20,11 @@ adaptive stepping (error ~ tau^{7/8}) cannot meet.
 Both stages run on _dop853: DOP853 (Hairer, Norsett & Wanner, Solving
 ODEs I, II.5-II.6) with scipy's tableau and step controller.  The
 equation is linear with coefficients of rho alone, so each step is a 2x2
-map of (R, dR): numpy passes build the maps of up to BLOCK steps at the
-cap, with every tableau row contracted by einsum, and one short loop
-carries (R, dR) through them.  An oracle_smatrix call takes 2.1 ms at
-tol 1e-6 and 4.0 ms at 1e-8 (260 and 1025 steps) on a 2-CPU x86 host.
+map of (R, dR): numpy passes build the maps of a block of up to BLOCK
+steps, all but the first at the cap, with every tableau row contracted
+by einsum, and a doubling scan of their products carries (R, dR) through
+them.  An oracle_smatrix call takes 1.4 ms at tol 1e-6 and 2.9 ms at
+1e-8 (260 and 1025 steps) on a 2-CPU x86 host.
 
 Large-rho fits use the correction-dressed wave basis
 
@@ -210,15 +211,28 @@ def _apply(m, r, dr) -> np.ndarray:
     return np.array([m[0] * r + m[1] * dr, m[2] * r + m[3] * dr])
 
 
+def _carry(m) -> np.ndarray:
+    """Column 0 + i column 1 of the products m_j ... m_0 of 2x2 maps m (rows 00, 01, 10, 11), as (2, n).
+
+    A doubling scan (Blelloch, Prefix sums and their applications, CMU 1990): the pass at stride s joins runs of s.
+    """
+    p, s = m.reshape(2, 2, -1).copy(), 1
+    while s < p.shape[2]:
+        np.add.reduce(p[:, :, None, s:] * p[None, :, :, :-s], axis=1, out=p[:, :, s:])
+        s *= 2
+    return p[:, 0] + 1j * p[:, 1]
+
+
 def _dop853(coef, t0: float, t1: float, y0, t_eval, tol: float, max_step: float, what: str):
     """(R, dR, nfev) of (R, dR)' = (dR, alpha R + beta dR), (alpha, beta) = coef(t), at ascending t_eval in [t0 < t1].
 
     The steps and, up to rounding, the values of solve_ivp(method="DOP853", rtol=tol, atol=1e-3 tol max|y0|).
-    A step is y -> y + U y, with U, the error sums and the dense-output rows 2x2 maps from _stages.  Steps at
-    the cap max_step run in blocks of up to BLOCK, and the controller takes the prefix it would take step by
-    step: a rejection, or a step after which h falls below max_step, ends a block; the ramp-up and each retry
-    are blocks of one.  A block's first step starts from (Re y, Im y), so it rounds as a scalar step does: it
-    is the step whose error sets h where the cap does not.  nfev counts 12 a step tried, 3 a step with output.
+    A step is y -> y + U y, with U, the error sums and the dense-output rows 2x2 maps from _stages.  A block is a
+    step at the controller's h and up to BLOCK - 1 at the cap max_step, of which the controller takes the prefix
+    it would take step by step: a rejection, or a step after which h falls below max_step, ends it.  A retry, or
+    a step with 10 h < max_step, is a block of one.  The first step starts from (Re y, Im y), so it rounds as a
+    scalar step does: it is the step whose error sets h where the cap does not.  _carry takes y through the
+    rest.  nfev counts 12 a step tried, 3 a step with output.
     """
     _, a, e, d = _tableau()
     r, dr = complex(y0[0]), complex(y0[1])
@@ -247,25 +261,17 @@ def _dop853(coef, t0: float, t1: float, y0, t_eval, tol: float, max_step: float,
                 raise StiffnessError(
                     f"{what} stage failed near t={t}: Required step size is less than spacing between numbers."
                 )
-            size = BLOCK if h_abs == max_step and not rejected else 1  # blocks only at the cap
-            ends = np.cumsum(np.concatenate(([t], np.full(size, h_abs))))[1:]
+            size = BLOCK if 10.0 * h_abs >= max_step and not rejected else 1  # steps after the first at the cap
+            ends = np.cumsum(np.concatenate(([t, h_abs], np.full(size - 1, max_step))))[1:]
             ends = np.minimum(ends[: int(np.searchsorted(ends, t1)) + 1], t1)  # the last ends at t1
             starts = np.concatenate(([t], ends[:-1]))
             h = ends - starts
             x0 = np.repeat([[1.0], [0.0], [0.0], [1.0]], len(h), 1)
             x0[:, 0] = r.real, r.imag, dr.real, dr.imag
             k = _stages(coef, starts, h, x0, 16 if i_eval < len(t_eval) and t_eval[i_eval] <= ends[-1] else 13)
-            u = _combine(a[12, :12], k) * h  # y_new - y
-
-            # carry y through the block: the one sequential part
-            (ur, ud), ys = _apply(u[:, 0], 1.0, 1j).tolist(), [(r, dr)]
-            r, dr = r + ur, dr + ud
-            for u00, u01, u10, u11 in zip(*u[:, 1:].tolist()):
-                ys.append((r, dr))
-                r, dr = r + (u00 * r + u01 * dr), dr + (u10 * r + u11 * dr)
-            y = np.array(ys + [(r, dr)]).T
-            w = y[:, :-1].copy()  # what turns each step's columns into y: y itself, (1, i) for (Re y, Im y)
-            w[:, 0] = 1.0, 1j
+            # y_new = x0 + U x0 of each step: (Re, Im) of the first's, the map 1 + U of the others'
+            y = np.concatenate(([[r], [dr]], _carry(_combine(a[12, :12], k) * h + x0)), axis=1)
+            w = np.concatenate(([[1.0], [1j]], y[:, 1:-1]), axis=1)  # what turns each step's columns into its y
 
             # the combined E5/E3 error norm, scaled by atol + rtol max(|y|, |y_new|)
             scale = atol + np.maximum(abs(y[:, :-1]), abs(y[:, 1:])) * rtol
@@ -380,9 +386,7 @@ def _lstsq_two_column(basis_a, basis_b, data, what: str) -> tuple:
         raise FitDegenerateError("fit basis column vanished on the window")
     coef, _, rank, sv = np.linalg.lstsq(m / scale, data, rcond=None)
     if rank < 2 or sv[-1] < 1e-12 * sv[0]:
-        raise FitDegenerateError(
-            f"fit basis nearly collinear (singular values {sv})"
-        )
+        raise FitDegenerateError(f"fit basis nearly collinear (singular values {sv})")
     coef = coef / scale
     resid = np.linalg.norm(m @ coef - data) / max(np.linalg.norm(data), 1e-300)
     if resid > 1e-6:
@@ -397,9 +401,7 @@ def match_small_rho(profile: RadialProfile, mode: PartialMode, cfg: ScatteringCo
     window [rho_in, 10 rho_in] contributes O((p rho)^4) bias only.
     """
     if mode.mu < MU_FIT_MIN:
-        raise FitDegenerateError(
-            f"mu={mode.mu} too small: rho^{{+-mu}} branches are collinear"
-        )
+        raise FitDegenerateError(f"mu={mode.mu} too small: rho^{{+-mu}} branches are collinear")
     rho = profile.rho_grid
     lo = rho[0]
     if lo > 0.01 * min(1.0, 1.0 / cfg.p, 1.0 / max(mode.mu, 1e-12)):
@@ -461,9 +463,7 @@ def match_large_rho(
     n = int(np.count_nonzero(sel))
     wavelengths = (hi - lo) * cfg.p / (2.0 * math.pi)
     if n < 20 * wavelengths:
-        raise FitDegenerateError(
-            f"only {n} samples across {wavelengths:.1f} wavelengths in the fit window"
-        )
+        raise FitDegenerateError(f"only {n} samples across {wavelengths:.1f} wavelengths in the fit window")
     r = rho[sel]
     x = cfg.p * r
     phase = np.exp(1j * (x - 0.25 * math.pi))

@@ -1,8 +1,8 @@
 """Print a sha256 digest of the radial oracle's output bits over seeded channels.
 
-Run with `python tests/make_oracle_digest.py [DRAWS [SEED]]` from the
-root of a checkout (it imports fluxsink from ./src).  For each regime
-it draws DRAWS configs (default DRAWS_TEST), beta = U(0.05, 0.95),
+Run with `python tests/make_oracle_digest.py [--values] [DRAWS [SEED]]`
+from the root of a checkout (it imports fluxsink from ./src).  For each
+regime it draws DRAWS configs (default DRAWS_TEST), beta = U(0.05, 0.95),
 gamma = U(0.1, 3), p = U(0.3, 2.5), and one mode of that regime with
 mu >= 0.05, then calls oracle_smatrix at tol 1e-6 and 1e-8 under each
 of the four boundary models: Sink, Elastic (theta or l drawn), total
@@ -16,7 +16,9 @@ components; a call that raises goes in as the exception's type name.
 Warnings are errors while the channels run.
 
 The first line printed is the digest, the next one the count of values
-and raised types.  test_oracle.py freezes the digest at DRAWS_TEST
+and raised types.  With --values it prints instead the lines the digest
+hashes, one `label:hex` per output, so that two checkouts' outputs can be
+diffed value by value.  test_oracle.py freezes the digest at DRAWS_TEST
 draws and recomputes it, so a change to the integrator that moves a
 single bit of any of these values fails there.
 """
@@ -87,44 +89,56 @@ def _channels(rng: np.random.Generator, draws: int):
                 yield cfg, modes[rng.integers(0, len(modes))]
 
 
-def digest(draws: int = DRAWS_TEST, seed: int = SEED) -> tuple[str, collections.Counter]:
-    """(sha256 hex digest, Counter of 'value' and raised type names)."""
-    h = hashlib.sha256()
-    tally: collections.Counter = collections.Counter()
+def records(draws: int = DRAWS_TEST, seed: int = SEED) -> list[tuple[str, str]]:
+    """(label, line) of each output in digest order: float.hex of its components, or '!' and the raised type."""
 
-    def record(label: str, fn) -> None:
+    def record(label: str, fn) -> tuple[str, str]:
         try:
-            line = _hex(fn())
+            return label, _hex(fn())
         except Exception as exc:  # the type is the output
-            line, key = "!" + type(exc).__name__, type(exc).__name__
-        else:
-            key = "value"
-        tally[key] += 1
-        h.update(f"{label}:{line}\n".encode())
+            return label, "!" + type(exc).__name__
 
-    rng = np.random.default_rng(seed)
+    rng, out = np.random.default_rng(seed), []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cfg, mode in _channels(rng, draws):
             where = f"({cfg.beta.hex()},{cfg.gamma.hex()},{cfg.p.hex()},{mode.m})"
             for name, model in _models(rng, mode):
                 for tol in TOLS:
-                    record(f"oracle_smatrix{where}{name}@{tol}", lambda: oracle_smatrix(cfg, mode, model, tol=tol))
+                    rec = record(f"oracle_smatrix{where}{name}@{tol}", lambda: oracle_smatrix(cfg, mode, model, tol=tol))
+                    out.append(rec)
         cfg, mode = next(_channels(np.random.default_rng(seed), 1))
         rho_in = default_rho_in(cfg)
         prof = integrate_radial(cfg, mode, init_for_model(cfg, mode, Sink(), rho_in), rho_out=100.0 / cfg.p)
         for label, values in (("grid", prof.rho_grid), ("values", prof.values), ("derivatives", prof.derivative_values)):
-            record(f"profile:{label}", lambda: values)
+            out.append(record(f"profile:{label}", lambda: values))
         qcfg = quartic.QuarticConfig(beta=0.3, lam=QUARTIC_Q, p=1.0)
         for tol in TOLS:
-            record(f"connection_matrices@{tol}",
-                   lambda: [t.entries for t in quartic.connection_matrices(qcfg, QUARTIC_MS, tol)])
+            out.append(record(f"connection_matrices@{tol}",
+                              lambda: [t.entries for t in quartic.connection_matrices(qcfg, QUARTIC_MS, tol)]))
+    return out
+
+
+def digest(draws: int = DRAWS_TEST, seed: int = SEED) -> tuple[str, collections.Counter]:
+    """(sha256 hex digest, Counter of 'value' and raised type names)."""
+    h = hashlib.sha256()
+    tally: collections.Counter = collections.Counter()
+    for label, line in records(draws, seed):
+        tally[line[1:] if line.startswith("!") else "value"] += 1
+        h.update(f"{label}:{line}\n".encode())
     return h.hexdigest(), tally
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else DRAWS_TEST
-    s = int(sys.argv[2]) if len(sys.argv) > 2 else SEED
-    hexdigest, tally = digest(n, s)
-    print(hexdigest)
-    print(f"{sum(tally.values())} records: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+    args = sys.argv[1:]
+    show = "--values" in args
+    args = [a for a in args if a != "--values"]
+    n = int(args[0]) if args else DRAWS_TEST
+    s = int(args[1]) if len(args) > 1 else SEED
+    if show:
+        for label, line in records(n, s):
+            print(f"{label}:{line}")
+    else:
+        hexdigest, tally = digest(n, s)
+        print(hexdigest)
+        print(f"{sum(tally.values())} records: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))

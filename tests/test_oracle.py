@@ -27,6 +27,7 @@ from fluxsink.errors import ConfigError, FitDegenerateError, StiffnessError
 from fluxsink.oracle import (
     RadialProfile,
     _apply,
+    _carry,
     _combine,
     _dop853,
     _stages,
@@ -299,6 +300,60 @@ def test_stage_maps_match_loop_form():
         assert np.all(np.abs(got - want) <= 1e-14 * size), np.max(np.abs(got - want) / size)
 
 
+def _block_maps(kind, n, rng):
+    """(y_new of the first step's (Re y, Im y), the maps U of the next n - 1 steps) of a block drawn from a stage kind.
+
+    radius: the oscillatory R'' + R'/rho + (p^2 - nu^2/rho^2) R = 0 past 2/p; log-radius: R_xx = (nu^2 - p^2 e^{2x}) R
+    inside 2/p, nu up to 2, where e^{+-nu x} grow and decay; quartic: the forbidden region beside x = 0, a > 2q.
+    """
+    cap, p = min(0.9, 26.5 * 10.0 ** rng.uniform(-3.0, -1.8)), rng.uniform(0.3, 2.5)  # at tol 1e-10 .. 1e-6
+    if kind == "radius":
+        nu2, t0, t1 = rng.uniform(-4.0, 4.0), 2.0 / p, 100.0 / p
+        cap /= p
+
+        def coef(r):
+            return nu2 / (r * r) - p * p, -1.0 / r
+    elif kind == "log-radius":
+        nu2, t0, t1 = rng.uniform(0.0, 4.0), math.log(1e-4 * min(1.0 / p, 1.0)), math.log(2.0 / p)
+
+        def coef(x):
+            return nu2 - p * p * np.exp(2.0 * x), 0.0
+    else:  # a > v^2 + q^2/v^2 from v = sqrt(q), where t = v
+        q = rng.uniform(0.3, 2.0)
+        a = rng.uniform(2.0 * q + 0.5, 2.0 * q + 4.0)
+        t0, t1, coef = math.sqrt(q), math.sqrt(0.5 * (a + math.sqrt(a * a - 4.0 * q * q))), quartic._coef(a, q)
+        cap = min(cap, 2.0 * math.pi / 20.0)
+    h = min(cap, (t1 - t0) / n)
+    t0 = rng.uniform(t0, t1 - n * h)
+    hs = np.full(n, h)
+    x0 = np.repeat([[1.0], [0.0], [0.0], [1.0]], n, 1)
+    x0[:, 0] = rng.normal(size=4)
+    u = _combine(_tableau()[1][12, :12], _stages(coef, t0 + h * np.arange(n), hs, x0, 13)) * hs
+    return u[:, 0] + x0[:, 0], u[:, 1:]
+
+
+@pytest.mark.parametrize("kind", ["radius", "log-radius", "quartic"])
+@pytest.mark.parametrize("n", [2, 3, 17, 255, 256])
+def test_carry_matches_the_step_loop(kind, n):
+    # the doubling scan against the step-by-step carry y -> y + U y.  They multiply in
+    # another order, so each state may differ by 1e-13 of the largest state the block
+    # has passed.  A magnitude run, the loop on absolute values, would be no bound here:
+    # on the oscillatory stages it grows as (|cos| + |sin|)^n, by 1e33 over 255 steps
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        y1, u = _block_maps(kind, n, rng)
+        m = np.concatenate((y1[:, None], u + [[1.0], [0.0], [0.0], [1.0]]), axis=1)
+        got = _carry(m)
+        want = [(complex(y1[0], y1[1]), complex(y1[2], y1[3]))]
+        for u00, u01, u10, u11 in u.T:
+            r, dr = want[-1]
+            want.append((r + (u00 * r + u01 * dr), dr + (u10 * r + u11 * dr)))
+        want = np.array(want).T
+        size = np.maximum.accumulate(np.hypot(abs(want[0]), abs(want[1])))
+        assert got.shape == (2, n)
+        assert np.all(np.abs(got - want) <= 1e-13 * size), np.max(np.abs(got - want) / size)
+
+
 def _same_bits(got, want) -> bool:
     """Equal float64 or complex128 arrays bit for bit where not nan, and nan in the same places."""
     got, want = np.asarray(got).view(np.float64), np.asarray(want).view(np.float64)
@@ -547,58 +602,60 @@ def test_subcritical_refinement_near_the_upper_edge(beta, log_gap, p, m, kind, u
     assert err8 <= max(err6, 1e-9), (err6, err8)
 
 
-# oracle_smatrix at commit 60daabf (DOP853 in blocks of 2x2 step maps), as
-# float.hex of (Re S, Im S).  The oracle is the evidence for the closed forms:
+# oracle_smatrix with the doubling-scan carry, its blocks opened by the step
+# at the controller's h, as float.hex of (Re S, Im S): re-frozen once from the
+# values of commit 60daabf (DOP853 in blocks of 2x2 step maps), which moved by
+# |dS| <= 1.2e-12.  The oracle is the evidence for the closed forms:
 # a change to its integrator keeps every bit here, or re-freezes these tables
 # once, with |dS| and the distance to the closed form of every value stated.
 # The step-for-step reference for the integrator itself is
 # test_dop853_matches_solve_ivp.
 ORACLE_FROZEN = {
-    ("super-sink", 1e-06): ("0x1.d09d3b654f681p-4", "-0x1.948a8fff3085fp-25"),
-    ("super-sink", 1e-08): ("0x1.d09d2e61fb22cp-4", "-0x1.cf8b85429c28ap-41"),
-    ("super-elastic", 1e-06): ("-0x1.cda7726f64d3dp-1", "-0x1.bace950740936p-2"),
-    ("super-elastic", 1e-08): ("-0x1.cda772ec23422p-1", "-0x1.bace92ff09fd0p-2"),
-    ("super-total", 1e-06): ("0x1.a5db5ccb8a51fp-25", "-0x1.b46a129289ba1p-25"),
-    ("super-total", 1e-08): ("0x1.28ae5e6eb1bc6p-41", "-0x1.d3591a7405622p-41"),
-    ("super-custom", 1e-06): ("0x1.6919ab1e99f25p-4", "-0x1.6919a0b990faep-3"),
-    ("super-custom", 1e-08): ("0x1.6919a073ada10p-4", "-0x1.6919a073abdc9p-3"),
-    ("sub-sink", 1e-06): ("-0x1.03f126da8f675p-5", "0x1.ffbdff48f64c5p-1"),
-    ("sub-sink", 1e-08): ("-0x1.03f1281169b05p-5", "0x1.ffbdff4858667p-1"),
-    ("sub-elastic", 1e-06): ("-0x1.e8c3cf8619b44p-1", "-0x1.30fa5aab2b889p-2"),
-    ("sub-elastic", 1e-08): ("-0x1.e8c3cf3e86c24p-1", "-0x1.30fa5c75feaa3p-2"),
-    ("sub-total", 1e-06): ("-0x1.06e4072839d94p-25", "0x1.82ad156b2b1b1p-25"),
-    ("sub-total", 1e-08): ("-0x1.08ad7aacb9d3fp-41", "0x1.53ad6afa386bbp-39"),
-    ("sub-custom", 1e-06): ("-0x1.a3243fad8c21dp-2", "0x1.260c571e1e98ep-2"),
-    ("sub-custom", 1e-08): ("-0x1.a3243dba897f7p-2", "0x1.260c572a94d67p-2"),
+    ("super-sink", 1e-06): ("0x1.d09d3b654f684p-4", "-0x1.948a901dd0871p-25"),
+    ("super-sink", 1e-08): ("0x1.d09d2e61fb24ep-4", "-0x1.cfe159387e497p-41"),
+    ("super-elastic", 1e-06): ("-0x1.cda7726f64d4fp-1", "-0x1.bace950740930p-2"),
+    ("super-elastic", 1e-08): ("-0x1.cda772ec2341fp-1", "-0x1.bace92ff09fc4p-2"),
+    ("super-total", 1e-06): ("0x1.a5db5d5ee19d6p-25", "-0x1.b46a12b2526cbp-25"),
+    ("super-total", 1e-08): ("0x1.27eb1fc1907bcp-41", "-0x1.d241ef3aa0d5ap-41"),
+    ("super-custom", 1e-06): ("0x1.6919ab1e99f3ap-4", "-0x1.6919a0b990fa9p-3"),
+    ("super-custom", 1e-08): ("0x1.6919a073ada12p-4", "-0x1.6919a073abde3p-3"),
+    ("sub-sink", 1e-06): ("-0x1.03f126da8f626p-5", "0x1.ffbdff48f64c5p-1"),
+    ("sub-sink", 1e-08): ("-0x1.03f1281169990p-5", "0x1.ffbdff4858664p-1"),
+    ("sub-elastic", 1e-06): ("-0x1.e8c3cf8619463p-1", "-0x1.30fa5aab2e46ep-2"),
+    ("sub-elastic", 1e-08): ("-0x1.e8c3cf3e862cfp-1", "-0x1.30fa5c7602684p-2"),
+    ("sub-total", 1e-06): ("-0x1.06e4af4b4165ep-25", "0x1.82ad103a82659p-25"),
+    ("sub-total", 1e-08): ("-0x1.c7135fe4ec65fp-40", "0x1.4dc3a9c54715cp-39"),
+    ("sub-custom", 1e-06): ("-0x1.a3243fad8de2fp-2", "0x1.260c571e2129fp-2"),
+    ("sub-custom", 1e-08): ("-0x1.a3243dba8a939p-2", "0x1.260c572a95637p-2"),
 }
 # integrate_radial over [default_rho_in, 100/p] for the same channels at the
 # same commit: point count and the first 16 hex digits of the SHA-256 of the
 # grid, values and derivative values
 PROFILE_FROZEN = {
-    ("super-sink", 1e-06): (809, "61a959054064bee3"),
-    ("super-sink", 1e-08): (809, "b3a0481cd34cebe1"),
-    ("super-elastic", 1e-06): (797, "626963407a34f7ea"),
-    ("super-elastic", 1e-08): (797, "d7ce4eec50fd524d"),
-    ("super-total", 1e-06): (809, "4218e7acbe4674e3"),
-    ("super-total", 1e-08): (809, "32e464fb4043e7ac"),
-    ("super-custom", 1e-06): (797, "36da24be22ee7c1c"),
-    ("super-custom", 1e-08): (797, "d841321644b26eae"),
-    ("sub-sink", 1e-06): (809, "6942ec89209af895"),
-    ("sub-sink", 1e-08): (809, "5e61f0e185b841c6"),
-    ("sub-elastic", 1e-06): (797, "db355acca3ecef4d"),
-    ("sub-elastic", 1e-08): (797, "8be00e7346943b85"),
-    ("sub-total", 1e-06): (809, "5563be88d6ce3ad7"),
-    ("sub-total", 1e-08): (809, "590836a2287337b2"),
-    ("sub-custom", 1e-06): (797, "6cc36d3ec47c24ca"),
-    ("sub-custom", 1e-08): (797, "7af8f3346ef89bf8"),
+    ("super-sink", 1e-06): (809, "4fb085617fb80656"),
+    ("super-sink", 1e-08): (809, "11206e9bc2d92832"),
+    ("super-elastic", 1e-06): (797, "be5d6740306602ce"),
+    ("super-elastic", 1e-08): (797, "9a37581035131732"),
+    ("super-total", 1e-06): (809, "76ff3bad950f70e0"),
+    ("super-total", 1e-08): (809, "f74b8f937f276b03"),
+    ("super-custom", 1e-06): (797, "73c0628263ef0dbe"),
+    ("super-custom", 1e-08): (797, "7a1f2affa981dd44"),
+    ("sub-sink", 1e-06): (809, "1b45d803290bb226"),
+    ("sub-sink", 1e-08): (809, "77d65f83a3b2d539"),
+    ("sub-elastic", 1e-06): (797, "6ef6a18db413fe74"),
+    ("sub-elastic", 1e-08): (797, "22121cbc8d18dfb8"),
+    ("sub-total", 1e-06): (809, "c1814804607f6cac"),
+    ("sub-total", 1e-08): (809, "13ec5af75afe0b50"),
+    ("sub-custom", 1e-06): (797, "66c4172b8b17906f"),
+    ("sub-custom", 1e-08): (797, "c6412ba98933e637"),
 }
 
 
-# sha256 that tests/make_oracle_digest.py prints at its default draws, the
-# same at abc44eb (ordered reduces) and with the einsum contractions: 48
+# sha256 that tests/make_oracle_digest.py prints at its default draws with
+# the doubling-scan carry (its --values lines give each value): 48
 # oracle_smatrix values over both regimes and the four models at tol 1e-6
 # and 1e-8, one full profile and the quartic inward-solve matrices at q = 2
-ORACLE_DIGEST = "8db83823b5df2e65695af64ec794361f529aa457e3d25c61cbd0ad2809d2adfa"
+ORACLE_DIGEST = "54df80a39227b9b32330424f0a7e49f9c0989164b8921e723744e339ad0f3290"
 
 
 def _frozen_channel(key):
@@ -642,6 +699,53 @@ def test_oracle_bits_frozen():
     from make_oracle_digest import digest
 
     assert digest()[0] == ORACLE_DIGEST
+
+
+# (blocks, blocks of one) of oracle_smatrix's DOP853 runs, both stages together, for a channel of each regime
+# whose log-radius stage rejects steps at tol 1e-6 and, subcritical, whose radius stage starts short of the cap
+BLOCKS_FROZEN = {
+    ("super", 1e-06): (4, 1),
+    ("super", 1e-08): (5, 0),
+    ("sub", 1e-06): (5, 3),
+    ("sub", 1e-08): (5, 0),
+}
+
+
+@pytest.mark.parametrize("regime, tol", sorted(BLOCKS_FROZEN))
+def test_ramp_up_step_opens_the_cap_block(monkeypatch, regime, tol):
+    # a block of one is a retry, a step too short to reach the cap in one more (10 h < cap)
+    # or a last step to t1; the ramp-up step that can reach the cap opens the block of cap
+    # steps, so no block of one is followed by a block that starts at the cap
+    from fluxsink import oracle
+
+    runs, dop853, stages = [], oracle._dop853, oracle._stages
+
+    def spy_dop853(*args):
+        runs.append((args[2], args[6], []))  # t1, max_step, the blocks' (starts, h)
+        return dop853(*args)
+
+    def spy_stages(coef, t, h, x0, n_stages):
+        runs[-1][2].append((t.copy(), h.copy()))
+        return stages(coef, t, h, x0, n_stages)
+
+    monkeypatch.setattr(oracle, "_dop853", spy_dop853)
+    monkeypatch.setattr(oracle, "_stages", spy_stages)
+    if regime == "super":
+        cfg, m, model = ScatteringConfig(beta=0.1, gamma=0.62, p=1.12), 0, ElasticSupercritical(theta=0.96)
+    else:
+        cfg, m, model = ScatteringConfig(beta=0.5, gamma=1.42, p=1.95), 2, ElasticSubcritical(l=-0.43)
+    oracle_smatrix(cfg, classify_mode(cfg, m), model, tol=tol)
+    assert len(runs) == 2  # the log-radius and radius stages
+    for t1, cap, blocks in runs:
+        for (starts, h), (starts_next, h_next) in zip([(np.array([]), np.array([]))] + blocks, blocks):
+            if len(h) == 1:
+                assert h_next[0] < cap * (1.0 - 1e-9), (starts_next[0], h_next[0], cap)
+            if len(h_next) == 1:
+                retry = np.any((starts == starts_next[0]) & (h > h_next[0]))
+                last = math.isclose(starts_next[0] + h_next[0], t1, rel_tol=1e-12, abs_tol=1e-12)
+                assert retry or 10.0 * h_next[0] < cap or last, (starts_next[0], h_next[0], cap)
+    blocks = [h for _, _, run in runs for _, h in run]
+    assert (len(blocks), sum(len(h) == 1 for h in blocks)) == BLOCKS_FROZEN[regime, tol]
 
 
 def test_oracle_matches_closed_forms():
